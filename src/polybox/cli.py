@@ -2,15 +2,12 @@
 
 Exit codes: 0 success / yes, 1 no / mismatch, 2 usage or validation
 error, 3 search budget exceeded.  All output is deterministic and codes
-are always printed in sorted order.  POLYBOX_THREADS is accepted and
-validated for compatibility; every operation is a pure function whose
-results do not depend on it.
+are always printed in sorted order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -57,16 +54,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("POLYBOX_THREADS")
-    if raw is not None:
-        try:
-            if int(raw) < 1:
-                raise ValueError
-        except ValueError:
-            raise SystemExit("POLYBOX_THREADS must be a positive integer")
 
 
 def _load(path: str, pairs: int | None = None):
@@ -418,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _check_threads_env()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -14,7 +14,7 @@ a code exactly when its accumulated weight reaches ``2**d``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .alphabet import MAX_DIM, STAR, Alphabet, complement, letter_name
 
@@ -47,6 +47,30 @@ def is_dichotomous(v: Word, w: Word) -> bool:
     _require_proper(v)
     _require_proper(w)
     return any(a == b ^ 1 for a, b in zip(v, w))
+
+
+# bitmask kernel: unchecked, over a list of proper words of one dimension;
+# bit ``j`` of a mask stands for ``words[j]`` -------------------------------
+
+def _letter_masks(words: Sequence[Word]) -> list[list[int]]:
+    """Per position and letter (both letters of every pair in use), the
+    mask of the words with that letter there: the position's letters, last
+    word first, as a binary numeral with "1" where the letter stands."""
+    columns = [bytes(c) for c in zip(*reversed(words))]
+    letters = bytes(range((max(map(max, columns), default=0) | 1) + 1))
+    digits = [
+        bytes.maketrans(letters, bytes(49 if t == s else 48 for t in letters))
+        for s in letters
+    ]
+    return [[int(c.translate(d), 2) for d in digits] for c in columns]
+
+
+def _dichotomy_row(masks: list[list[int]], v: Word) -> int:
+    """The mask of the words dichotomous with ``v``."""
+    row = 0
+    for i, s in enumerate(v):
+        row |= masks[i][s ^ 1]
+    return row
 
 
 def twin_pair_direction(v: Word, w: Word) -> Optional[int]:

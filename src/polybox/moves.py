@@ -148,24 +148,27 @@ def closure(
     alphabet: Alphabet,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ClosureResult:
-    """Breadth-first fixpoint of the flip relation; the seed is a state."""
+    """Breadth-first fixpoint of the flip relation; the seed is a state.
+    At most ``state_budget`` states are kept; meeting one more ends the
+    search unexhausted, with the states not fully expanded as frontier."""
     if state_budget <= 0:
         raise ValueError("state budget must be positive")
     visited: set[Code] = {code}
     queue: deque[Code] = deque([code])
     while queue:
-        if len(visited) >= state_budget:
-            return ClosureResult(
-                states=frozenset(visited),
-                exhausted=False,
-                frontier_count=len(queue),
-                state_budget=state_budget,
-            )
         current = queue.popleft()
         for successor in neighbors(current, alphabet):
-            if successor not in visited:
-                visited.add(successor)
-                queue.append(successor)
+            if successor in visited:
+                continue
+            if len(visited) >= state_budget:
+                return ClosureResult(
+                    states=frozenset(visited),
+                    exhausted=False,
+                    frontier_count=len(queue) + 1,
+                    state_budget=state_budget,
+                )
+            visited.add(successor)
+            queue.append(successor)
     return ClosureResult(
         states=frozenset(visited),
         exhausted=True,
@@ -182,7 +185,8 @@ def find_flip_path(
     accept: Callable[[Code], bool] | None = None,
 ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
     """Shortest flip sequence from ``start`` to ``goal`` (or to any state
-    the ``accept`` predicate likes).  The returned trace replays exactly."""
+    the ``accept`` predicate likes).  The returned trace replays exactly.
+    At most ``state_budget`` states are kept; meeting one more exceeds it."""
     if accept is None:
         if goal is None:
             raise ValueError("need a goal code or an accept predicate")
@@ -192,12 +196,12 @@ def find_flip_path(
     parents: dict[Code, tuple[Code, FlipMove]] = {start: (start, None)}  # type: ignore[dict-item]
     queue: deque[Code] = deque([start])
     while queue:
-        if len(parents) >= state_budget:
-            return Verdict.EXCEEDED, None
         current = queue.popleft()
         for move, successor in neighbor_moves(current, alphabet):
             if successor in parents:
                 continue
+            if len(parents) >= state_budget:
+                return Verdict.EXCEEDED, None
             parents[successor] = (current, move)
             if accept(successor):
                 trace = []

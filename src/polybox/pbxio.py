@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .alphabet import Alphabet, inferred_alphabet, letter_name, parse_letter, STAR
-from .core import Code, Word, make_code
+from .alphabet import Alphabet, inferred_alphabet, parse_letter, STAR
+from .core import Code, Word, format_plain as format_word, make_code
 from .moves import FlipMove, flip_move
 
 
@@ -25,10 +25,6 @@ class ParseError(ValueError):
         self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
-
-
-def format_word(v: Word) -> str:
-    return "".join(letter_name(s) for s in v)
 
 
 def parse_word(text: str, allow_star: bool = False, line: int | None = None) -> Word:

@@ -43,18 +43,13 @@ def box(v: Word, alphabet: Alphabet) -> np.ndarray:
     return cells
 
 
-def union_of_boxes(code: Code, alphabet: Alphabet) -> np.ndarray:
-    if not code:
-        raise ValueError("empty code has no realization")
-    cells = np.zeros((1 << alphabet.pair_count,) * len(code[0]), dtype=bool)
-    for v in code:
-        cells |= box(v, alphabet)
-    return cells
-
-
 def oracle_is_covered(w: Word, code: Code, alphabet: Alphabet) -> bool:
-    """Cell-by-cell containment of the word's box in the code's union."""
-    return not np.any(box(w, alphabet) & ~union_of_boxes(code, alphabet))
+    """Cell-by-cell containment: no cell of the word's box is left once the
+    code's boxes are taken out.  The empty code takes out nothing."""
+    cells = box(w, alphabet)
+    for v in code:
+        cells &= ~box(v, alphabet)
+    return not np.any(cells)
 
 
 def oracle_boxes_meet(v: Word, w: Word, alphabet: Alphabet) -> bool:

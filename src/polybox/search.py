@@ -25,14 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .alphabet import Alphabet
 from .core import (
     Code,
     Word,
+    _dichotomy_row,
+    _letter_masks,
     binary_code,
     binary_code_set,
     code_covered,
@@ -89,14 +89,6 @@ class _Pool:
     level_masks: tuple[int, ...]
     dichotomous: tuple[int, ...]
     twin_free: tuple[int, ...]
-    weights: tuple[int, ...]
-
-
-def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(
-        int.from_bytes(row.tobytes(), "little") for row in packed
-    )
 
 
 @lru_cache(maxsize=8)
@@ -109,37 +101,26 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
         for w in itertools.product(letters, repeat=dim)
         if any(s != ANCHOR_LETTER for s in w)
     )
-    arr = np.array(words, dtype=np.int16)
-    count = len(words)
-    levels = (arr == ANCHOR_LETTER).sum(axis=1)
+    index = {w: i for i, w in enumerate(words)}
     level_masks = [0] * dim
-    for idx in range(count):
-        level_masks[int(levels[idx])] |= 1 << idx
-    dich_bits: list[int] = []
-    twinfree_bits: list[int] = []
-    step = max(1, (1 << 22) // max(count, 1))
-    for start in range(0, count, step):
-        block = arr[start : start + step]
-        comp = (block[:, None, :] ^ 1) == arr[None, :, :]
-        diff = (block[:, None, :] != arr[None, :, :]).sum(axis=2)
-        dich = comp.any(axis=2)
-        twin_free = dich & (diff != 1)
-        dich_bits.extend(_pack_rows(dich))
-        twinfree_bits.extend(_pack_rows(twin_free))
+    for i, w in enumerate(words):
+        level_masks[w.count(ANCHOR_LETTER)] |= 1 << i
+    masks = _letter_masks(words)
+    dichotomous = [_dichotomy_row(masks, w) for w in words]
+
+    def twins(w: Word) -> int:
+        flips = (w[:p] + (w[p] ^ 1,) + w[p + 1 :] for p in range(dim))
+        return sum(1 << index[t] for t in flips if t in index)
+
+    # a twin-free row is the dichotomy row less the word's twins (one letter
+    # complemented); twins are dichotomous, so the XOR clears exactly them
+    twin_free = [row ^ twins(w) for w, row in zip(words, dichotomous)]
     return _Pool(
         words=tuple(words),
         level_masks=tuple(level_masks),
-        dichotomous=tuple(dich_bits),
-        twin_free=tuple(twinfree_bits),
-        weights=tuple(1 << int(l) for l in levels),
+        dichotomous=tuple(dichotomous),
+        twin_free=tuple(twin_free),
     )
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _seed_placements(seed: Code, embed_layouts: bool) -> tuple[Code, ...]:
@@ -566,30 +547,27 @@ def extensions(
     base = make_code(code)
     if count == 0:
         return (base,)
-    dim = len(base[0]) if base else None
-    if dim is None:
+    if not base:
         raise ValueError("extension needs a non-empty code")
-    pool = []
-    for q in itertools.product(alphabet.letters(), repeat=dim):
-        if q in base:
-            continue
-        if flat_constraint is not None and q[flat_constraint[0]] != flat_constraint[1]:
-            continue
-        if all(is_dichotomous(q, v) for v in base):
-            pool.append(q)
-    pool.sort()
-    compat = [
-        [j for j in range(len(pool)) if j > i and is_dichotomous(pool[i], pool[j])]
-        for i in range(len(pool))
+    pool = [
+        q
+        for q in itertools.product(alphabet.letters(), repeat=len(base[0]))
+        if q not in base
+        and (flat_constraint is None or q[flat_constraint[0]] == flat_constraint[1])
+        and all(is_dichotomous(q, v) for v in base)
     ]
+    masks = _letter_masks(pool)
     out: list[Code] = []
 
-    def rec(start: int, picked: tuple[int, ...], allowed: set[int]) -> None:
+    def rec(candidates: int, picked: Code) -> None:
         if len(picked) == count:
-            out.append(tuple(sorted(base + tuple(pool[i] for i in picked))))
+            out.append(tuple(sorted(base + picked)))
             return
-        for idx in range(start, len(pool)):
-            if idx in allowed:
-                rec(idx + 1, picked + (idx,), allowed & set(compat[idx]))
-    rec(0, (), set(range(len(pool))))
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            q = pool[low.bit_length() - 1]
+            rec(candidates & _dichotomy_row(masks, q), picked + (q,))
+
+    rec((1 << len(pool)) - 1, ())
     return tuple(sorted(out))

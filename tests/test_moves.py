@@ -1,6 +1,7 @@
 """The flip calculus: glue/cut round trips, flip invariants, closures,
 lock tests, extraction, cover normalization and layer simplification."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -161,6 +162,20 @@ class TestClosure:
         first, _ = example_pair()
         result = closure(first, Alphabet(3), state_budget=3)
         assert not result.exhausted and result.frontier_count > 0
+
+    def test_budget_is_exact(self):
+        """A budget bounds the states kept, not only the states expanded."""
+        simple = make_code(itertools.product((0, 1), repeat=4))
+        result = closure(simple, Alphabet(2), state_budget=30000)
+        assert len(result.states) == 30000 and not result.exhausted
+        assert simple in result.states
+
+    def test_budget_equal_to_the_closure_is_exhausted(self):
+        first, _ = example_pair()
+        size = len(closure(first, Alphabet(3)).states)
+        result = closure(first, Alphabet(3), state_budget=size)
+        assert result.exhausted and len(result.states) == size
+        assert not closure(first, Alphabet(3), state_budget=size - 1).exhausted
 
     def test_membership_is_symmetric(self):
         first, second = example_pair()

@@ -73,3 +73,14 @@ def test_oracle_agrees_with_weight_criterion_on_random_instances():
         code = random_code(alphabet, dim, rng, max_size=rng.randrange(1, 2**dim + 1))
         word = random_word(alphabet, dim, rng)
         assert is_covered(word, code) == oracle_is_covered(word, code, alphabet)
+
+
+def test_empty_code_covers_nothing_by_either_route():
+    rng = Random(11)
+    for dim in (1, 2, 3, 4):
+        for pairs in (1, 2, 3):
+            alphabet = Alphabet(pairs)
+            for _ in range(3):
+                word = random_word(alphabet, dim, rng)
+                assert is_covered(word, ()) is False
+                assert oracle_is_covered(word, (), alphabet) is False

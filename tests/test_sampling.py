@@ -1,0 +1,156 @@
+"""The bitmask random code generators against their slow twins, and the
+cover pool's mask rows against the pairwise word predicates."""
+
+import itertools
+from collections import Counter
+from random import Random
+
+import pytest
+
+from polybox.alphabet import Alphabet
+from polybox.core import (
+    is_cube_tiling_code,
+    is_dichotomous,
+    is_polybox_code,
+    twin_pair_direction,
+)
+from polybox.sampling import random_code, random_tiling_code, random_word
+from polybox.search import ANCHOR_LETTER, _cover_pool
+
+ORACLE_FUZZ_SEED = 20240831  # the stream of ``polybox repro oracle-fuzz``
+CASES = [(d, k) for d in (2, 3, 4) for k in (2, 3)]
+
+
+# slow twins: a tuple pool, each word tested against every word taken ------
+
+def slow_random_code(alphabet, dim, rng, max_size=None):
+    pool = list(itertools.product(alphabet.letters(), repeat=dim))
+    rng.shuffle(pool)
+    chosen = []
+    for q in pool:
+        if all(is_dichotomous(q, v) for v in chosen):
+            chosen.append(q)
+            if max_size is not None and len(chosen) >= max_size:
+                break
+    return tuple(sorted(chosen))
+
+
+def slow_random_tiling_code(alphabet, dim, rng):
+    pool = list(itertools.product(alphabet.letters(), repeat=dim))
+    rng.shuffle(pool)
+    target = 1 << dim
+    chosen = []
+
+    def rec(start):
+        if len(chosen) == target:
+            return True
+        for i in range(start, len(pool)):
+            q = pool[i]
+            if all(is_dichotomous(q, v) for v in chosen):
+                chosen.append(q)
+                if rec(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not rec(0):
+        raise RuntimeError("backtracking failed to complete a tiling code")
+    return tuple(sorted(chosen))
+
+
+def fuzz_codes(rng, instances, tiling=random_tiling_code, code=random_code):
+    """The codes of the ``oracle-fuzz`` procedure as (d, k, max_size, code),
+    max_size None for a tiling code; the word draws are made as well, so
+    the stream stays the procedure's."""
+    for dim, pairs in itertools.islice(itertools.cycle(CASES), instances):
+        alphabet = Alphabet(pairs)
+        roll = rng.random()
+        max_size = None
+        if roll < 0.4:
+            drawn = tiling(alphabet, dim, rng)
+        else:
+            max_size = rng.randrange(1, 2**dim + 1)
+            drawn = code(alphabet, dim, rng, max_size=max_size)
+        if roll < 0.2 and drawn:
+            rng.randrange(len(drawn))
+        else:
+            random_word(alphabet, dim, rng)
+        yield dim, pairs, max_size, drawn
+
+
+def twinned(fast, slow, calls):
+    """``fast``, checked against ``slow`` run on a copy of the generator:
+    equal codes, and equal generator states after the call."""
+
+    def call(alphabet, dim, rng, **kwargs):
+        twin = Random()
+        twin.setstate(rng.getstate())
+        expected = slow(alphabet, dim, twin, **kwargs)
+        got = fast(alphabet, dim, rng, **kwargs)
+        assert got == expected
+        assert rng.getstate() == twin.getstate()
+        calls[fast.__name__, dim, alphabet.pair_count] += 1
+        return got
+
+    return call
+
+
+@pytest.mark.parametrize("seed", [ORACLE_FUZZ_SEED, 3, 8])
+def test_generators_match_their_slow_twins(seed):
+    calls = Counter()
+    tiling = twinned(random_tiling_code, slow_random_tiling_code, calls)
+    code = twinned(random_code, slow_random_code, calls)
+    for _ in fuzz_codes(Random(seed), 200, tiling, code):
+        pass
+    assert set(calls) == {
+        (name, d, k)
+        for name in ("random_tiling_code", "random_code")
+        for d, k in CASES
+    }
+
+
+def test_unconstrained_greedy_code_matches_its_slow_twin():
+    rng = Random(17)
+    code = twinned(random_code, slow_random_code, Counter())
+    for dim, pairs in CASES:
+        code(Alphabet(pairs), dim, rng)
+
+
+def test_heavy_tailed_stream_completes():
+    """Seed 2's stream is the slowest of seeds 0-9 for the slow twins,
+    about twenty times the ``oracle-fuzz`` seed's own."""
+    for dim, pairs, max_size, code in fuzz_codes(Random(2), 1000):
+        assert is_polybox_code(code) and len(code[0]) == dim
+        assert all(s < 2 * pairs for v in code for s in v)
+        if max_size is None:
+            assert is_cube_tiling_code(code)
+        else:
+            assert 1 <= len(code) <= max_size
+
+
+# cover pool rows -------------------------------------------------------------
+
+def pairwise_rows(words, i):
+    v = words[i]
+    dichotomous = [is_dichotomous(v, w) for w in words]
+    twin_free = [
+        d and twin_pair_direction(v, w) is None for d, w in zip(dichotomous, words)
+    ]
+    pack = lambda bits: sum(1 << j for j, bit in enumerate(bits) if bit)
+    return pack(dichotomous), pack(twin_free)
+
+
+@pytest.mark.parametrize(
+    "pairs, dim, rows", [(2, 5, None), (3, 4, None), (3, 5, 200)]
+)
+def test_cover_pool_rows_match_pairwise_predicates(pairs, dim, rows):
+    pool = _cover_pool(pairs, dim)
+    words = pool.words
+    assert len(words) == (2 * pairs - 1) ** dim - 1
+    for level, mask in enumerate(pool.level_masks):
+        assert mask == sum(
+            1 << j for j, w in enumerate(words) if w.count(ANCHOR_LETTER) == level
+        )
+    picked = range(len(words)) if rows is None else Random(5).sample(range(len(words)), rows)
+    for i in picked:
+        assert (pool.dichotomous[i], pool.twin_free[i]) == pairwise_rows(words, i)

@@ -301,7 +301,7 @@ class TestExtensions:
     def test_counts_match_brute_force_d2(self):
         alphabet = Alphabet(2)
         code = make_code([W("aa")])
-        for count in (1, 2):
+        for count in (1, 2, 3):
             out = extensions(code, count, alphabet)
             pool = [
                 q
