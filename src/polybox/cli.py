@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .alphabet import Alphabet
@@ -293,14 +294,16 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    start = time.perf_counter()
     try:
         report = run_job(args.job, long=args.long)
     except (KeyError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
+    elapsed = time.perf_counter() - start
     for line in report.lines:
         print(line)
-    print(f"{report.name}: {'PASS' if report.ok else 'FAIL'}")
+    print(f"{report.name}: {'PASS' if report.ok else 'FAIL'} ({elapsed:.1f} s)")
     return EXIT_YES if report.ok else EXIT_NO
 
 

@@ -26,6 +26,11 @@ def _check_scale(alphabet: Alphabet, dim: int) -> None:
         raise ValueError("realization too large to enumerate")
 
 
+def _check_dims(v: Word, w: Word) -> None:
+    if len(v) != len(w):
+        raise ValueError(f"dimension mismatch: {len(v)} vs {len(w)}")
+
+
 def _axis(letter: int, alphabet: Alphabet) -> np.ndarray:
     """Membership of each axis point in the letter's half of the axis."""
     if letter == STAR:
@@ -48,11 +53,13 @@ def oracle_is_covered(w: Word, code: Code, alphabet: Alphabet) -> bool:
     code's boxes are taken out.  The empty code takes out nothing."""
     cells = box(w, alphabet)
     for v in code:
+        _check_dims(v, w)
         cells &= ~box(v, alphabet)
     return not np.any(cells)
 
 
 def oracle_boxes_meet(v: Word, w: Word, alphabet: Alphabet) -> bool:
+    _check_dims(v, w)
     return bool(np.any(box(v, alphabet) & box(w, alphabet)))
 
 

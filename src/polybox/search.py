@@ -47,6 +47,10 @@ from .moves import DEFAULT_STATE_BUDGET, Verdict, is_locked_cover_code
 
 ANCHOR_LETTER = 2  # the letter written ``b``
 
+# bytes of bitmask rows a cover pool may hold; (3, 6) needs about 61 MB,
+# (3, 7) about 1.5 GB
+POOL_ROW_BYTES_CAP = 1 << 27
+
 
 def weight_compositions(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
     """Vectors ``x`` with ``sum(x[i] * 2**i) == 2**dim`` and ``sum(x) == size``;
@@ -94,7 +98,17 @@ class _Pool:
 @lru_cache(maxsize=8)
 def _cover_pool(pair_count: int, dim: int) -> _Pool:
     """Candidate words for covers of ``b...b``: everything without the
-    complement of ``b`` and not the word itself, graded by ``b``-count."""
+    complement of ``b`` and not the word itself, graded by ``b``-count.
+
+    Refused up front when its two tables of one bitmask row per word, one
+    bit per word, would pass ``POOL_ROW_BYTES_CAP``."""
+    size = (2 * pair_count - 1) ** dim - 1
+    row_bytes = 2 * size * ((size + 7) // 8)
+    if row_bytes > POOL_ROW_BYTES_CAP:
+        raise ValueError(
+            f"cover pool too large: {size:,} words need {row_bytes:,} bytes "
+            f"of bitmask rows (cap {POOL_ROW_BYTES_CAP:,})"
+        )
     letters = [s for s in range(2 * pair_count) if s != ANCHOR_LETTER ^ 1]
     words = sorted(
         w

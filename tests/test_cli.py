@@ -139,6 +139,13 @@ class TestCovers:
         assert run("covers", "--word", "bbbbb", "--size", "7", "--pairs", "2") == 0
         assert "classes: 3" in capsys.readouterr().out
 
+    def test_oversized_pool_refused(self, capsys):
+        # 5**7 - 1 words: two tables of 78,124-bit rows, about 1.5 GB
+        assert run("covers", "--word", "bbbbbbb", "--size", "9", "--pairs", "3") == 2
+        err = capsys.readouterr().err
+        assert "cover pool too large" in err
+        assert "1,525,917,968 bytes" in err
+
 
 class TestCanon:
     def test_stabilized_canonical_form(self, files, capsys):

@@ -1,6 +1,9 @@
 """Code isomorphisms: group laws, action invariance, stabilizers,
 canonical forms and orbit deduplication."""
 
+import functools
+import itertools
+import os
 from random import Random
 
 import pytest
@@ -20,6 +23,7 @@ from polybox.core import (
 )
 from polybox.catalog import small_covers, special_pair
 from polybox.iso import (
+    ELEMENT_WALK_MAX_ORDER,
     Group,
     apply_code,
     apply_word,
@@ -35,9 +39,13 @@ from polybox.iso import (
     word_stabilizer,
 )
 from polybox.pbxio import parse_word
+from polybox.search import cover_word, enumerate_minimal_covers
 from strategies import codes
 
 W = parse_word
+V5 = W("bbbbb")
+B = V5[0]
+LONG = os.environ.get("POLYBOX_LONG") == "1"
 
 
 def _random_element(group: Group, rng: Random):
@@ -216,3 +224,140 @@ class TestCanonicalForms:
         relabelled = greedy_relabel(code)
         assert relabelled == make_code([W("aa"), W("a'a")])
         assert greedy_relabel(relabelled) == relabelled
+
+
+# differential tests of the two packed walks ------------------------------
+
+def _old_orbit(group: Group, code):
+    """The breadth-first generator walk over unpacked words."""
+    caches = [{} for _ in group.generators]
+    seen = {code}
+    frontier = [code]
+    while frontier:
+        new = []
+        for state in frontier:
+            for gen, cache in zip(group.generators, caches):
+                image_words = []
+                for w in state:
+                    if w not in cache:
+                        cache[w] = apply_word(gen, w)
+                    image_words.append(cache[w])
+                image = tuple(sorted(image_words))
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return frozenset(seen)
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_family(size: int):
+    return cover_word(V5, size, Alphabet(2))
+
+
+@functools.lru_cache(maxsize=None)
+def _census_groups():
+    """The stabilizer of bbbbb over two pairs, and the same generators with
+    no order, which take the orbit walk; shared, so each builds its tables
+    (and the first its tree) once."""
+    stab = word_stabilizer(V5, Alphabet(2))
+    return stab, Group(stab.alphabet, stab.dim, stab.generators)
+
+
+def _sample_codes(group: Group, rng: Random, count: int):
+    """Sets of one to four words."""
+    words = list(itertools.product(group.alphabet.letters(), repeat=group.dim))
+    return [tuple(sorted(rng.sample(words, rng.randint(1, 4)))) for _ in range(count)]
+
+
+def _anchor(pairs: int, dim: int):
+    """A word with every pair in it where there is room."""
+    return tuple(2 * (i % pairs) + (i // pairs) % 2 for i in range(dim))
+
+
+def _stabilizers(pairs_dims):
+    return [
+        pytest.param(word_stabilizer(_anchor(p, d), Alphabet(p)), id=f"stab-{p}-{d}")
+        for p, d in pairs_dims
+    ]
+
+
+def _full_groups(pairs_dims):
+    return [
+        pytest.param(full_group(Alphabet(p), d), id=f"full-{p}-{d}")
+        for p, d in pairs_dims
+    ]
+
+
+# groups small enough to enumerate: both walks against Group.elements()
+ENUMERABLE = _stabilizers(
+    [(p, d) for p in (1, 2) for d in (2, 3, 4, 5)] + [(3, 2), (3, 3)]
+) + _full_groups([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+# larger ones: the orbit walk against the old walk, on small covers of b...b
+LARGE = [4, 5]
+# cover_word families of bbbbb over two pairs; size 9 (19 classes) takes
+# about 3 s of walks
+SIZES = [5, 6, 7, 8, pytest.param(9, marks=pytest.mark.skipif(
+    not LONG, reason="runs with POLYBOX_LONG=1"))]
+
+
+class TestWalks:
+    @pytest.mark.parametrize("group", ENUMERABLE)
+    def test_walks_match_element_enumeration(self, group):
+        assert group.order <= ELEMENT_WALK_MAX_ORDER  # orbit() walks elements
+        elements = list(group.elements())
+        assert len(elements) == group.order
+        for code in _sample_codes(group, Random(group.order), 3):
+            expected = frozenset(apply_code(g, code) for g in elements)
+            assert group.orbit(code) == expected
+            assert group._unpack(group._orbit_walk(group._pack(code))) == expected
+            assert canonical_form(code, group) == min(expected)
+
+    @pytest.mark.parametrize("dim", LARGE)
+    def test_orbit_walk_matches_old_walk(self, dim):
+        alphabet = Alphabet(3)
+        group = word_stabilizer((B,) * dim, alphabet)
+        assert group.order > ELEMENT_WALK_MAX_ORDER
+        family = [
+            c for size in (2, 3) for c in enumerate_minimal_covers((B,) * dim, size, alphabet)
+        ]
+        for code in Random(dim).sample(family, 6):
+            expected = _old_orbit(group, code)
+            assert group.orbit(code) == expected
+            assert canonical_form(code, group) == min(expected)
+
+    @pytest.mark.parametrize("group", ENUMERABLE)
+    def test_schreier_tree_reaches_the_order(self, group):
+        assert len(group._schreier_tree()) + 1 == group.order
+
+    def test_schreier_tree_refuses_a_wrong_order(self):
+        stab = word_stabilizer(W("bbb"), Alphabet(2))
+        for order in (stab.order - 1, stab.order + 1, 2 * stab.order):
+            group = Group(stab.alphabet, stab.dim, stab.generators, order=order)
+            with pytest.raises(ValueError, match="generators reach"):
+                group.orbit(make_code([W("abb")]))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_dedup_walks_agree_on_cover_families(self, size):
+        stab, unordered = _census_groups()
+        family = _cover_family(size)
+        assert dedup_orbits(family, unordered) == dedup_orbits(family, stab)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_dedup_matches_old_walk_on_cover_families(self, size):
+        stab, _ = _census_groups()
+        family = _cover_family(size)
+        expected, seen = [], set()
+        for code in sorted(set(family)):
+            if code not in seen:
+                orbit = _old_orbit(stab, code)
+                seen |= orbit
+                expected.append(min(orbit))
+        assert dedup_orbits(family, stab) == tuple(sorted(expected))
+
+    def test_letters_outside_the_alphabet_are_refused(self):
+        stab = word_stabilizer(W("bb"), Alphabet(2))
+        with pytest.raises(ValueError, match="alphabet"):
+            stab.orbit(((0, 4),))
+        with pytest.raises(ValueError, match="dimension"):
+            stab.orbit(((0, 1, 2),))

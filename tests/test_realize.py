@@ -84,3 +84,19 @@ def test_empty_code_covers_nothing_by_either_route():
                 word = random_word(alphabet, dim, rng)
                 assert is_covered(word, ()) is False
                 assert oracle_is_covered(word, (), alphabet) is False
+
+
+def test_dimension_mismatch_is_refused_by_either_route():
+    alphabet = Alphabet(2)
+    cases = [
+        ((0, 0, 0), ((0, 0),)),  # numpy would broadcast the smaller box
+        ((0, 0, 1), ((0,), (1,))),
+        ((0, 0), ((0, 0, 0),)),
+    ]
+    for word, code in cases:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_covered(word, code)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle_is_covered(word, code, alphabet)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle_boxes_meet(code[0], word, alphabet)
