@@ -4,8 +4,8 @@ letter bijections that respect complementation.
 Canonical forms are exact lexicographic orbit minima.  Orbits of groups
 with generators are walked over packed words (a word is its mixed-radix
 number over the alphabet's letters, so a code is a sorted tuple of ints in
-the same lex order), with one generator table from packed word to packed
-image.  There are two walks:
+the same lex order), with one table per generator from packed word to
+packed image, filled as the walks meet words.  There are two walks:
 
 * the element walk visits each group element once, over a Schreier tree,
   and derives each element's image of the code from its tree parent's with
@@ -29,15 +29,18 @@ from typing import Callable, Iterable, Iterator, Optional
 from .alphabet import STAR, Alphabet
 from .core import Code, Word
 
-# Orbits of covers are mostly near-regular (in the two-pair d=5 census they
-# average 2,837 codes under 3,840 elements), so the element walk does about
-# |generators| times fewer images than the orbit walk.  Its Schreier tree
-# is built once per group at about 10 us per element (one lookup per
-# generator and base word) and kept: 0.5 s and some 15 MB at this order,
-# less than one orbit walk of a regular orbit of such a group.  Above it
-# the tree costs more than such a walk, which a group walked for a few
-# small orbits would never win back.
-ELEMENT_WALK_MAX_ORDER = 50_000
+# The element walk pays for a Schreier tree once per group (about 10 us
+# per element) and then ``order`` images per orbit, whatever the orbit's
+# size; the orbit walk pays ``|generators|`` images per orbit code.  So the
+# element walk wins on near-regular orbits, such as the two-pair census of
+# twin-pair-free covers of bbbbb (3,840 elements, orbits averaging 2,837
+# codes): sizes 5-10 dedup in 1.0 s against 2.7 s on a 2-core machine.  It
+# loses on small orbits: one canonical form, or the 2-4-word covers of
+# bbbbb, cost about 35 ms more, the tree.  Above this order it gained on no
+# family measured: at 5,040 elements (one pair, d=7) dedup of random 3-word
+# codes broke even, and at 46,080 (two pairs, d=6) one canonical form took
+# 0.42 s against 6 ms.
+ELEMENT_WALK_MAX_ORDER = 5_000
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,39 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(sigma=tuple(sigma_inv), maps=tuple(maps))
 
 
+class _DigitSum(dict):
+    """Packed word -> ``start + lookups[0][last digit] + ...``, least
+    significant digit first; filled as words are met, so it holds only
+    those, never the whole ``radix ** dim`` word space.  With int lookups
+    it is a generator's packed image; with one-letter tuples it unpacks."""
+
+    def __init__(self, radix: int, lookups: list[tuple], start) -> None:
+        super().__init__()
+        self.radix = radix
+        self.lookups = lookups
+        self.start = start
+
+    def __missing__(self, n: int):
+        value, rest = self.start, n
+        for lookup in self.lookups:
+            rest, digit = divmod(rest, self.radix)
+            value = lookup[digit] + value
+        self[n] = value
+        return value
+
+
 class Group:
     """A finite group of code isomorphisms.
 
     Carries generators (for orbit walks) and/or a lazy element enumerator;
     ``order`` is exact when known.
 
-    The generator tables, the word list that unpacks their images and the
-    Schreier tree are built when the group first walks and kept for its
-    life.  A group whose ``order`` is known and at most
-    ``ELEMENT_WALK_MAX_ORDER`` is walked element by element over the tree;
-    others, such as the three-pair d=5 word stabilizer (3,932,160 elements),
-    breadth-first over the orbit.
+    A group whose ``order`` is known and at most ``ELEMENT_WALK_MAX_ORDER``
+    is walked element by element over a Schreier tree, built when it first
+    walks and kept for its life; others, such as the three-pair d=5 word
+    stabilizer (3,932,160 elements), breadth-first over the orbit.  The
+    generator tables and the table that unpacks words are kept too, but
+    hold only the words met, never the whole word space.
     """
 
     def __init__(
@@ -136,9 +160,9 @@ class Group:
         self.generators = generators
         self._elements_factory = elements_factory
         self.order = order
-        self._tables: list[list[int]] | None = None
-        self._words: list[Word] | None = None
-        self._tree: list[tuple[int, list[int]]] | None = None
+        self._tables: list[_DigitSum] | None = None
+        self._words: _DigitSum | None = None
+        self._tree: list[tuple[int, _DigitSum]] | None = None
 
     def elements(self) -> Iterator[GroupElement]:
         if self._elements_factory is not None:
@@ -170,23 +194,20 @@ class Group:
             return self._unpack(self._element_walk(packed))
         return self._unpack(self._orbit_walk(packed))
 
-    def _walk_tables(self) -> list[list[int]]:
-        """One table per generator from packed word to packed image, and
-        the word list that unpacks them."""
+    def _walk_tables(self) -> list[_DigitSum]:
+        """One table per generator from packed word to packed image."""
         if self._tables is None:
             assert self.generators is not None
             radix, dim = self.alphabet.size, self.dim
             self._tables = []
             for g in self.generators:
                 # source position j lands at position i with sigma[i] == j
-                table = [0]
-                for j in range(dim):
+                lookups = []
+                for j in reversed(range(dim)):
                     i = g.sigma.index(j)
                     place = radix ** (dim - 1 - i)
-                    digits = [s * place for s in g.maps[i]]
-                    table = [t + c for t in table for c in digits]
-                self._tables.append(table)
-            self._words = list(itertools.product(self.alphabet.letters(), repeat=dim))
+                    lookups.append(tuple(s * place for s in g.maps[i]))
+                self._tables.append(_DigitSum(radix, lookups, 0))
         return self._tables
 
     def _pack(self, code: Code) -> tuple[int, ...]:
@@ -204,8 +225,10 @@ class Group:
         return tuple(sorted(packed))
 
     def _unpack(self, images: set[tuple[int, ...]]) -> frozenset[Code]:
+        if self._words is None:
+            letters = tuple((s,) for s in self.alphabet.letters())
+            self._words = _DigitSum(self.alphabet.size, [letters] * self.dim, ())
         words = self._words
-        assert words is not None
         return frozenset(tuple(map(words.__getitem__, image)) for image in images)
 
     def _orbit_walk(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -230,7 +253,7 @@ class Group:
             append(tuple(sorted(map(table.__getitem__, images[parent]))))
         return set(images)
 
-    def _schreier_tree(self) -> list[tuple[int, list[int]]]:
+    def _schreier_tree(self) -> list[tuple[int, _DigitSum]]:
         """A breadth-first spanning tree of the Cayley graph: entry ``e - 1``
         is ``(parent, generator table)`` of element ``e``, which acts as
         that generator after its parent; element 0 is the identity.
@@ -251,7 +274,7 @@ class Group:
             )
             seen = {base}
             keys = [base]
-            tree: list[tuple[int, list[int]]] = []
+            tree: list[tuple[int, _DigitSum]] = []
             for parent, key in enumerate(keys):
                 for table in tables:
                     image = tuple(map(table.__getitem__, key))

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,16 @@ class TestCanon:
             == 0
         )
         assert "canonical" in capsys.readouterr().out
+
+    def test_stabilized_large_word_space(self, tmp_path, capsys):
+        # 6**8 words over three pairs; the orbit of the one word is itself,
+        # so the walk meets one word, whatever the size of the word space
+        single = tmp_path / "single.pbx"
+        single.write_text("bbbbbbbb\n")
+        start = time.perf_counter()
+        assert run("canon", str(single), "--pairs", "3", "--stabilize", "bbbbbbbb") == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out.splitlines()[-1] == "bbbbbbbb"
 
 
 class TestFindSecond:

@@ -295,10 +295,12 @@ ENUMERABLE = _stabilizers(
 ) + _full_groups([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
 # larger ones: the orbit walk against the old walk, on small covers of b...b
 LARGE = [4, 5]
-# cover_word families of bbbbb over two pairs; size 9 (19 classes) takes
-# about 3 s of walks
-SIZES = [5, 6, 7, 8, pytest.param(9, marks=pytest.mark.skipif(
-    not LONG, reason="runs with POLYBOX_LONG=1"))]
+# cover_word families of bbbbb over two pairs; sizes 8 and 9 (4 and 19
+# classes) take about 0.3 s and 3 s of walks
+SIZES = [5, 6, 7] + [
+    pytest.param(size, marks=pytest.mark.skipif(not LONG, reason="runs with POLYBOX_LONG=1"))
+    for size in (8, 9)
+]
 
 
 class TestWalks:
@@ -307,7 +309,7 @@ class TestWalks:
         assert group.order <= ELEMENT_WALK_MAX_ORDER  # orbit() walks elements
         elements = list(group.elements())
         assert len(elements) == group.order
-        for code in _sample_codes(group, Random(group.order), 3):
+        for code in _sample_codes(group, Random(group.order), 2):
             expected = frozenset(apply_code(g, code) for g in elements)
             assert group.orbit(code) == expected
             assert group._unpack(group._orbit_walk(group._pack(code))) == expected
@@ -321,7 +323,7 @@ class TestWalks:
         family = [
             c for size in (2, 3) for c in enumerate_minimal_covers((B,) * dim, size, alphabet)
         ]
-        for code in Random(dim).sample(family, 6):
+        for code in Random(dim).sample(family, 4):
             expected = _old_orbit(group, code)
             assert group.orbit(code) == expected
             assert canonical_form(code, group) == min(expected)
@@ -338,14 +340,8 @@ class TestWalks:
                 group.orbit(make_code([W("abb")]))
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_dedup_walks_agree_on_cover_families(self, size):
+    def test_dedup_walks_match_old_walk_on_cover_families(self, size):
         stab, unordered = _census_groups()
-        family = _cover_family(size)
-        assert dedup_orbits(family, unordered) == dedup_orbits(family, stab)
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_dedup_matches_old_walk_on_cover_families(self, size):
-        stab, _ = _census_groups()
         family = _cover_family(size)
         expected, seen = [], set()
         for code in sorted(set(family)):
@@ -353,7 +349,15 @@ class TestWalks:
                 orbit = _old_orbit(stab, code)
                 seen |= orbit
                 expected.append(min(orbit))
-        assert dedup_orbits(family, stab) == tuple(sorted(expected))
+        expected = tuple(sorted(expected))
+        assert dedup_orbits(family, stab) == expected
+        assert dedup_orbits(family, unordered) == expected
+
+    def test_tables_hold_only_the_words_met(self):
+        group = word_stabilizer((B,) * 8, Alphabet(3))  # 6**8 words
+        code = make_code([(B,) * 8])
+        assert canonical_form(code, group) == code
+        assert [len(table) for table in group._walk_tables()] == [1] * len(group.generators)
 
     def test_letters_outside_the_alphabet_are_refused(self):
         stab = word_stabilizer(W("bb"), Alphabet(2))
