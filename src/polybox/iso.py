@@ -15,8 +15,7 @@ packed image, filled as the walks meet words.  There are two walks:
   its cost scales with the orbit, not with the (possibly huge) group order.
 
 Groups of known order up to ``ELEMENT_WALK_MAX_ORDER`` take the element
-walk, the rest the orbit walk; both give the same orbit.  Groups that only
-carry an element enumerator fall back to a full sweep.
+walk, the rest the orbit walk; both give the same orbit.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .alphabet import STAR, Alphabet
 from .core import Code, Word
@@ -134,8 +133,8 @@ class _DigitSum(dict):
 class Group:
     """A finite group of code isomorphisms.
 
-    Carries generators (for orbit walks) and/or a lazy element enumerator;
-    ``order`` is exact when known.
+    Carries generators (for orbit walks) and optionally a lazy element
+    enumerator; ``order`` is exact when known.
 
     A group whose ``order`` is known and at most ``ELEMENT_WALK_MAX_ORDER``
     is walked element by element over a Schreier tree, built when it first
@@ -149,12 +148,10 @@ class Group:
         self,
         alphabet: Alphabet,
         dim: int,
-        generators: tuple[GroupElement, ...] | None = None,
+        generators: tuple[GroupElement, ...],
         elements_factory: Callable[[], Iterator[GroupElement]] | None = None,
         order: int | None = None,
     ) -> None:
-        if generators is None and elements_factory is None:
-            raise ValueError("a group needs generators or an enumerator")
         self.alphabet = alphabet
         self.dim = dim
         self.generators = generators
@@ -170,7 +167,6 @@ class Group:
         return self._close_generators()
 
     def _close_generators(self) -> Iterator[GroupElement]:
-        assert self.generators is not None
         seen = {identity(self.alphabet, self.dim)}
         frontier = list(seen)
         yield from frontier
@@ -186,9 +182,7 @@ class Group:
             frontier = new
 
     def orbit(self, code: Code) -> frozenset[Code]:
-        """All images of the code; walks generators when available."""
-        if self.generators is None:
-            return frozenset(apply_code(g, code) for g in self.elements())
+        """All images of the code."""
         packed = self._pack(code)
         if self.order is not None and self.order <= ELEMENT_WALK_MAX_ORDER:
             return self._unpack(self._element_walk(packed))
@@ -197,7 +191,6 @@ class Group:
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
         if self._tables is None:
-            assert self.generators is not None
             radix, dim = self.alphabet.size, self.dim
             self._tables = []
             for g in self.generators:
@@ -428,56 +421,9 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
     )
 
 
-def code_stabilizer(code: Code, alphabet: Alphabet) -> Group:
-    """All isomorphisms mapping the code onto itself (as a set).
-
-    Enumerated by constraint propagation over (position permutation, word
-    assignment) pairs, with the unconstrained letter pairs filled in
-    freely; meant for small codes."""
-    dim = len(code[0])
-    words = list(code)
-
-    def column_maps(sigma: tuple[int, ...], image: list[Word]) -> Optional[list[list[tuple[int, ...]]]]:
-        per_position = []
-        for i in range(dim):
-            required: dict[int, int] = {}
-            for w, target in zip(words, image):
-                s, t = w[sigma[i]], target[i]
-                if required.get(s, t) != t or required.get(s ^ 1, t ^ 1) != t ^ 1:
-                    return None
-                required[s] = t
-                required[s ^ 1] = t ^ 1
-            if len(set(required.values())) != len(required):
-                return None
-            options = [
-                m
-                for m in _pair_preserving_maps(alphabet)
-                if all(m[s] == t for s, t in required.items())
-            ]
-            if not options:
-                return None
-            per_position.append(options)
-        return per_position
-
-    def enumerate_all() -> Iterator[GroupElement]:
-        for sigma in itertools.permutations(range(dim)):
-            for image in itertools.permutations(words):
-                per_position = column_maps(sigma, list(image))
-                if per_position is None:
-                    continue
-                for maps in itertools.product(*per_position):
-                    g = GroupElement(sigma=sigma, maps=maps)
-                    if apply_code(g, code) == code:
-                        yield g
-
-    return Group(alphabet, dim, generators=None, elements_factory=enumerate_all)
-
-
 def canonical_form(code: Code, group: Group) -> Code:
     """Lexicographic minimum over the orbit; equal on all orbit members."""
-    if group.generators is not None:
-        return min(group.orbit(code))
-    return min(apply_code(g, code) for g in group.elements())
+    return min(group.orbit(code))
 
 
 def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:

@@ -6,14 +6,14 @@ letter pair (``2**k`` points), and the box of a word keeps, per position,
 the points whose choice for that letter's pair matches the letter.  All
 boxes have equal volume, and dichotomous words get disjoint boxes.
 
-This module answers cover questions by enumerating cells explicitly.  It
+This module answers cover questions by enumerating cells explicitly: a box
+is one int over the ``(2**k)**d`` cells, bit ``c`` for cell ``c``, whose
+point at position ``i`` is digit ``i`` of ``c`` in radix ``2**k``.  It
 deliberately shares no logic with the weight criterion in :mod:`core`; the
 two are cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .alphabet import STAR, Alphabet
 from .core import Code, Word
@@ -31,20 +31,25 @@ def _check_dims(v: Word, w: Word) -> None:
         raise ValueError(f"dimension mismatch: {len(v)} vs {len(w)}")
 
 
-def _axis(letter: int, alphabet: Alphabet) -> np.ndarray:
-    """Membership of each axis point in the letter's half of the axis."""
-    if letter == STAR:
-        raise ValueError("joker has no realization")
-    points = np.arange(1 << alphabet.pair_count)
-    return ((points >> (letter >> 1)) & 1) == (letter & 1)
-
-
-def box(v: Word, alphabet: Alphabet) -> np.ndarray:
-    """Boolean cell array of the word's box, shape ``(2**k,) * d``."""
+def box(v: Word, alphabet: Alphabet) -> int:
+    """Cell bitset of the word's box, built position by position.  The box
+    over the positions before ``i`` fills block 0 of ``2**k`` blocks; it is
+    copied, by doubling, to every block whose point has a 0 for the
+    letter's pair, and the copies then shift to the letter's half."""
     _check_scale(alphabet, len(v))
-    cells = np.ones((), dtype=bool)
+    k = alphabet.pair_count
+    cells, block = 1, 1
     for s in v:
-        cells = np.multiply.outer(cells, _axis(s, alphabet))
+        if s == STAR:
+            raise ValueError("joker has no realization")
+        if not 0 <= s < 2 * k:
+            raise ValueError(f"letter {s} is not in the alphabet")
+        pair, side = s >> 1, s & 1
+        for j in range(k):
+            if j != pair:
+                cells |= cells << (block << j)
+        cells <<= (block << pair) * side
+        block <<= k
     return cells
 
 
@@ -55,12 +60,12 @@ def oracle_is_covered(w: Word, code: Code, alphabet: Alphabet) -> bool:
     for v in code:
         _check_dims(v, w)
         cells &= ~box(v, alphabet)
-    return not np.any(cells)
+    return not cells
 
 
 def oracle_boxes_meet(v: Word, w: Word, alphabet: Alphabet) -> bool:
     _check_dims(v, w)
-    return bool(np.any(box(v, alphabet) & box(w, alphabet)))
+    return bool(box(v, alphabet) & box(w, alphabet))
 
 
 def oracle_meet_count(code: Code, w: Word, alphabet: Alphabet) -> int:

@@ -173,8 +173,6 @@ def cover_word(
         raise ValueError("need at least two letter pairs")
     if size < 2:
         raise ValueError("seeded covers have at least two words")
-    pool = _cover_pool(alphabet.pair_count, dim)
-    index = {w: i for i, w in enumerate(pool.words)}
     if seeds is None:
         seeds = standard_seeds(dim)
     seeds = [make_code(seed) for seed in seeds]
@@ -182,6 +180,8 @@ def cover_word(
     for seed in seeds:
         (level,) = {sum(1 for s in w if s == ANCHOR_LETTER) for w in seed}
         seed_levels.append(level)
+    pool = _cover_pool(alphabet.pair_count, dim)
+    index = {w: i for i, w in enumerate(pool.words)}
     found: set[frozenset[int]] = set()
     for ci, x in enumerate(weight_compositions(dim, size)):
         if resume is not None and ci < resume[0]:

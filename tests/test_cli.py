@@ -141,8 +141,11 @@ class TestCovers:
         assert "classes: 3" in capsys.readouterr().out
 
     def test_oversized_pool_refused(self, capsys):
-        # 5**7 - 1 words: two tables of 78,124-bit rows, about 1.5 GB
-        assert run("covers", "--word", "bbbbbbb", "--size", "9", "--pairs", "3") == 2
+        # 5**7 - 1 words: two tables of 78,124-bit rows, about 1.5 GB; with
+        # twin pairs allowed no seeds are needed, so the pool is reached
+        assert run(
+            "covers", "--word", "bbbbbbb", "--size", "9", "--pairs", "3", "--twin-pairs"
+        ) == 2
         err = capsys.readouterr().err
         assert "cover pool too large" in err
         assert "1,525,917,968 bytes" in err
@@ -235,3 +238,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # every polybox process, each CLI call included, pays for what this
+    # import loads; a third-party array library once cost about 170 ms here
+    script = (
+        "import sys; before = set(sys.modules); import polybox.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'polybox'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -28,7 +28,6 @@ from polybox.iso import (
     apply_code,
     apply_word,
     canonical_form,
-    code_stabilizer,
     compose,
     dedup_orbits,
     element,
@@ -150,33 +149,6 @@ class TestStabilizers:
     def test_identity_enumerated(self):
         stab = word_stabilizer(W("bb"), Alphabet(2))
         assert identity(Alphabet(2), 2) in set(stab.elements())
-
-    def test_code_stabilizer_of_singleton_matches_word_stabilizer(self):
-        alphabet = Alphabet(2)
-        v = W("bb")
-        from_code = set(code_stabilizer(make_code([v]), alphabet).elements())
-        from_word = set(word_stabilizer(v, alphabet).elements())
-        assert from_code == from_word
-
-    def test_code_stabilizer_fix_or_swap(self):
-        alphabet = Alphabet(2)
-        pair = make_code([W("bbbbb"), W("b'b'b'bb")])
-        elements = list(code_stabilizer(pair, alphabet).elements())
-        assert all(apply_code(g, pair) == pair for g in elements)
-        fixing = [g for g in elements if apply_word(g, pair[1]) == pair[1]]
-        swapping = [g for g in elements if apply_word(g, pair[1]) == pair[0]]
-        assert len(fixing) == len(swapping) == len(elements) // 2
-
-    def test_code_stabilizer_closed_under_composition(self):
-        alphabet = Alphabet(2)
-        pair = make_code([W("bbbbb"), W("b'b'b'bb")])
-        elements = list(code_stabilizer(pair, alphabet).elements())
-        rng = Random(3)
-        sample = [rng.choice(elements) for _ in range(6)]
-        pool = set(elements)
-        for g in sample[:3]:
-            for h in sample[3:]:
-                assert compose(g, h) in pool
 
 
 class TestCanonicalForms:

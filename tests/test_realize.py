@@ -1,12 +1,13 @@
 """The cell-enumeration oracle, and its agreement with the weight
 criterion (the two deliberately independent cover routes)."""
 
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 
-from polybox.alphabet import Alphabet
+from polybox.alphabet import STAR, Alphabet
 from polybox.core import (
     density,
     is_covered,
@@ -31,7 +32,40 @@ W = parse_word
 def test_box_volume_is_half_per_position():
     alphabet = Alphabet(2)
     cells = box(W("ab"), alphabet)
-    assert cells.sum() == (4 // 2) ** 2
+    assert cells.bit_count() == (4 // 2) ** 2
+
+
+def _cell_box(v, alphabet):
+    """The box as a cell bitset, one cell at a time: cell ``c`` has point
+    ``p[i]`` at position ``i`` (digit ``i`` of ``c``, radix ``2**k``), and
+    lies in the box when every point sits in its letter's half."""
+    points = 1 << alphabet.pair_count
+    bits = 0
+    for p in product(range(points), repeat=len(v)):
+        if all((p[i] >> (s >> 1)) & 1 == s & 1 for i, s in enumerate(v)):
+            bits |= 1 << sum(p[i] * points**i for i in range(len(v)))
+    return bits
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_matches_per_cell_membership(pairs, dim):
+    alphabet = Alphabet(pairs)
+    for v in product(alphabet.letters(), repeat=dim):
+        assert box(v, alphabet) == _cell_box(v, alphabet)
+
+
+def test_letters_without_a_box_are_refused():
+    alphabet = Alphabet(2)
+    with pytest.raises(ValueError, match="joker"):
+        box((0, STAR, 2), alphabet)
+    with pytest.raises(ValueError, match="joker"):
+        oracle_is_covered((0, 0, 0), ((0, STAR, 2),), alphabet)
+    # c and c' lie outside two pairs; core.is_covered, which needs no
+    # alphabet, says ca and c'a are covered by {aa, a'a}
+    for c in (4, 5):
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            oracle_is_covered((c, 0), ((0, 0), (1, 0)), alphabet)
 
 
 def test_reference_cover_is_covered():
@@ -89,7 +123,7 @@ def test_empty_code_covers_nothing_by_either_route():
 def test_dimension_mismatch_is_refused_by_either_route():
     alphabet = Alphabet(2)
     cases = [
-        ((0, 0, 0), ((0, 0),)),  # numpy would broadcast the smaller box
+        ((0, 0, 0), ((0, 0),)),  # the smaller box's bits would stand for other cells
         ((0, 0, 1), ((0,), (1,))),
         ((0, 0), ((0, 0, 0),)),
     ]

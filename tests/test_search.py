@@ -24,6 +24,7 @@ from polybox.moves import twin_pairs
 from polybox.pbxio import parse_word
 from polybox.search import (
     PruneContext,
+    _cover_pool,
     cover_bound,
     cover_code,
     cover_word,
@@ -111,6 +112,13 @@ class TestCoverWord:
     def test_rejects_non_anchor_words(self):
         with pytest.raises(ValueError, match="anchored"):
             cover_word(W("aaaaa"), 5, Alphabet(2))
+
+    def test_refuses_other_dimensions_before_building_the_pool(self):
+        # the (3, 6) pool would be 61 MB of bitmask rows, built for nothing
+        before = _cover_pool.cache_info()
+        with pytest.raises(ValueError, match="dimension 5"):
+            cover_word(W("bbbbbb"), 7, Alphabet(3))
+        assert _cover_pool.cache_info() == before
 
 
 class TestEnumerateMinimalCovers:
