@@ -73,6 +73,62 @@ def _dichotomy_row(masks: list[list[int]], v: Word) -> int:
     return row
 
 
+# packed words: a word is its mixed-radix number over the alphabet's
+# letters, position 0 most significant, so sorting packed words keeps lex
+# order and a code packs to a sorted tuple of ints ------------------------
+
+def place_values(alphabet: Alphabet, dim: int) -> list[int]:
+    """Per position, what one unit of its letter adds to a packed word."""
+    return [alphabet.size ** (dim - 1 - i) for i in range(dim)]
+
+
+def pack_word(v: Word, alphabet: Alphabet) -> int:
+    radix = alphabet.size
+    n = 0
+    for s in v:
+        if not 0 <= s < radix:
+            raise ValueError(
+                f"letter {s} is outside the alphabet of {alphabet.pair_count} pairs"
+            )
+        n = n * radix + s
+    return n
+
+
+def pack_code(code: Iterable[Word], alphabet: Alphabet) -> tuple[int, ...]:
+    """The packed words in sorted order; the words must share a dimension,
+    or their numbers would collide."""
+    return tuple(sorted(pack_word(v, alphabet) for v in code))
+
+
+class _DigitSum(dict):
+    """Packed word -> ``start + lookups[0][last digit] + ...``, least
+    significant digit first; filled as words are met, so it holds only
+    those, never the whole ``radix ** dim`` word space.  With int lookups
+    it is a packed image of words; with one-letter tuples it unpacks."""
+
+    def __init__(self, radix: int, lookups: list[tuple], start) -> None:
+        super().__init__()
+        self.radix = radix
+        self.lookups = lookups
+        self.start = start
+
+    def __missing__(self, n: int):
+        value, rest = self.start, n
+        for lookup in self.lookups:
+            rest, digit = divmod(rest, self.radix)
+            value = lookup[digit] + value
+        self[n] = value
+        return value
+
+
+def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
+    """Packed word -> word, for words of ``dim`` letters.  Each word is
+    built once, so the codes unpacked through one table share their
+    words."""
+    letters = tuple((s,) for s in alphabet.letters())
+    return _DigitSum(alphabet.size, [letters] * dim, ())
+
+
 def twin_pair_direction(v: Word, w: Word) -> Optional[int]:
     """The unique position (0-based) where the words differ, if they differ
     there by complementation only; None otherwise."""

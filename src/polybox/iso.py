@@ -2,10 +2,10 @@
 letter bijections that respect complementation.
 
 Canonical forms are exact lexicographic orbit minima.  Orbits of groups
-with generators are walked over packed words (a word is its mixed-radix
-number over the alphabet's letters, so a code is a sorted tuple of ints in
-the same lex order), with one table per generator from packed word to
-packed image, filled as the walks meet words.  There are two walks:
+with generators are walked over packed words (``core.pack_code``: a word
+is its mixed-radix number over the alphabet's letters, so a code is a
+sorted tuple of ints in the same lex order), with one table per generator
+from packed word to packed image, filled as the walks meet words.  There are two walks:
 
 * the element walk visits each group element once, over a Schreier tree,
   and derives each element's image of the code from its tree parent's with
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .alphabet import STAR, Alphabet
-from .core import Code, Word
+from .core import Code, Word, _DigitSum, pack_code, place_values, word_table
 
 # The element walk pays for a Schreier tree once per group (about 10 us
 # per element) and then ``order`` images per orbit, whatever the orbit's
@@ -109,27 +109,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(sigma=tuple(sigma_inv), maps=tuple(maps))
 
 
-class _DigitSum(dict):
-    """Packed word -> ``start + lookups[0][last digit] + ...``, least
-    significant digit first; filled as words are met, so it holds only
-    those, never the whole ``radix ** dim`` word space.  With int lookups
-    it is a generator's packed image; with one-letter tuples it unpacks."""
-
-    def __init__(self, radix: int, lookups: list[tuple], start) -> None:
-        super().__init__()
-        self.radix = radix
-        self.lookups = lookups
-        self.start = start
-
-    def __missing__(self, n: int):
-        value, rest = self.start, n
-        for lookup in self.lookups:
-            rest, digit = divmod(rest, self.radix)
-            value = lookup[digit] + value
-        self[n] = value
-        return value
-
-
 class Group:
     """A finite group of code isomorphisms.
 
@@ -191,36 +170,25 @@ class Group:
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
         if self._tables is None:
-            radix, dim = self.alphabet.size, self.dim
+            places = place_values(self.alphabet, self.dim)
             self._tables = []
             for g in self.generators:
                 # source position j lands at position i with sigma[i] == j
                 lookups = []
-                for j in reversed(range(dim)):
+                for j in reversed(range(self.dim)):
                     i = g.sigma.index(j)
-                    place = radix ** (dim - 1 - i)
-                    lookups.append(tuple(s * place for s in g.maps[i]))
-                self._tables.append(_DigitSum(radix, lookups, 0))
+                    lookups.append(tuple(s * places[i] for s in g.maps[i]))
+                self._tables.append(_DigitSum(self.alphabet.size, lookups, 0))
         return self._tables
 
     def _pack(self, code: Code) -> tuple[int, ...]:
-        radix = self.alphabet.size
-        packed = []
-        for v in code:
-            if len(v) != self.dim:
-                raise ValueError("dimension mismatch")
-            n = 0
-            for s in v:
-                if s not in self.alphabet:
-                    raise ValueError(f"letter {s} is not in the group's alphabet")
-                n = n * radix + s
-            packed.append(n)
-        return tuple(sorted(packed))
+        if any(len(v) != self.dim for v in code):
+            raise ValueError("dimension mismatch")
+        return pack_code(code, self.alphabet)
 
     def _unpack(self, images: set[tuple[int, ...]]) -> frozenset[Code]:
         if self._words is None:
-            letters = tuple((s,) for s in self.alphabet.letters())
-            self._words = _DigitSum(self.alphabet.size, [letters] * self.dim, ())
+            self._words = word_table(self.alphabet, self.dim)
         words = self._words
         return frozenset(tuple(map(words.__getitem__, image)) for image in images)
 
@@ -259,11 +227,10 @@ class Group:
         identity fixes the base."""
         if self._tree is None:
             tables = self._walk_tables()
-            radix, dim = self.alphabet.size, self.dim
             base = (0,) + tuple(
-                s * radix ** (dim - 1 - j)
-                for j in range(dim)
-                for s in range(2, radix, 2) or (1,)
+                s * place
+                for place in place_values(self.alphabet, self.dim)
+                for s in range(2, self.alphabet.size, 2) or (1,)
             )
             seen = {base}
             keys = [base]

@@ -7,17 +7,19 @@ glue direction, and every cut inherits that.
 
 Flip reachability is explored by breadth-first search over whole codes
 with an explicit state budget; exhaustion of the budget is reported, never
-guessed away.
+guessed away.  The searches run on packed codes (``core.pack_code``): a
+twin pair is found by looking up the word plus one position's place value,
+and a flip is two ints.  Codes are checked once on entry, and words and
+moves are built only for what is returned.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
-from .alphabet import STAR, Alphabet
+from .alphabet import STAR, Alphabet, inferred_alphabet
 from .core import (
     Code,
     Word,
@@ -29,8 +31,12 @@ from .core import (
     make_code,
     minimal_cover_within,
     overlap_weight,
+    pack_code,
+    pack_word,
     pairs_at,
+    place_values,
     twin_pair_direction,
+    word_table,
 )
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -100,34 +106,113 @@ def apply_flip(code: Code, move: FlipMove) -> Code:
     return tuple(sorted(rest + list(move.replacement())))
 
 
+PackedCode = tuple[int, ...]
+
+
+def _dim(code: Code) -> int:
+    return len(code[0]) if code else 0
+
+
+class _Packing:
+    """Codes of one dimension over one alphabet as sorted tuples of packed
+    words (``core.pack_code``), with the flips worked out on the ints."""
+
+    def __init__(self, alphabet: Alphabet, dim: int) -> None:
+        self.alphabet = alphabet
+        self.radix = alphabet.size
+        # (position, place value) from the last position back: the order
+        # in which the twins of one word rise
+        self.places = list(enumerate(place_values(alphabet, dim)))[::-1]
+        self.words = word_table(alphabet, dim)
+
+    @classmethod
+    def of(cls, code: Code, alphabet: Alphabet) -> "_Packing":
+        return cls(alphabet, _dim(code))
+
+    def pack(self, code: Code) -> PackedCode:
+        return pack_code(code, self.alphabet)
+
+    def unpack(self, state: PackedCode) -> Code:
+        return tuple(map(self.words.__getitem__, state))
+
+    def twins(self, state: PackedCode) -> list[tuple[int, int, int, int]]:
+        """``(a, b, direction, place)`` per twin pair ``state[a] <
+        state[b]``, in the order of ``a`` and then ``b``.  The twin of a
+        word with an unprimed letter at a position is the word plus that
+        position's place."""
+        index = {v: a for a, v in enumerate(state)}
+        return [
+            (a, index[v + place], i, place)
+            for a, v in enumerate(state)
+            for i, place in self.places
+            if not v // place & 1 and v + place in index
+        ]
+
+    def flips(self, state: PackedCode) -> Iterator[tuple[int, int, int, int, PackedCode]]:
+        """``(v, w, direction, t, successor)`` for every single flip: cut
+        along ``t``/``t'``, in twin-pair order, then letter order."""
+        radix, unprimed = self.radix, self.alphabet.unprimed()
+        for a, b, i, place in self.twins(state):
+            v = state[a]
+            rest = state[:a] + state[a + 1 : b] + state[b + 1 :]
+            s = v // place % radix
+            base = v - s * place
+            for t in unprimed:
+                if t != s:
+                    q = base + t * place
+                    yield v, v + place, i, t, tuple(sorted(rest + (q, q + place)))
+
+    def successors(self, state: PackedCode) -> set[PackedCode]:
+        return {step[-1] for step in self.flips(state)}
+
+    def search(
+        self,
+        start: PackedCode,
+        found: Callable[[PackedCode], bool],
+        state_budget: int,
+    ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
+        """Breadth-first from ``start`` to the first state ``found`` likes."""
+        if found(start):
+            return Verdict.YES, ()
+        parents: dict[PackedCode, tuple] = {start: ()}
+        queue = [start]
+        for current in queue:
+            for v, w, i, t, successor in self.flips(current):
+                if successor in parents:
+                    continue
+                if len(parents) >= state_budget:
+                    return Verdict.EXCEEDED, None
+                parents[successor] = (current, v, w, i, t)
+                if found(successor):
+                    return Verdict.YES, self._trace(parents, successor)
+                queue.append(successor)
+        return Verdict.NO, None
+
+    def _trace(self, parents: dict, state: PackedCode) -> tuple[FlipMove, ...]:
+        words = self.words
+        trace = []
+        while parents[state]:
+            state, v, w, i, t = parents[state]
+            trace.append(FlipMove(pair=(words[v], words[w]), direction=i, letters=(t, t ^ 1)))
+        return tuple(reversed(trace))
+
+
 def twin_pairs(code: Code) -> list[tuple[Word, Word, int]]:
-    out = []
-    for i, v in enumerate(code):
-        for w in code[i + 1 :]:
-            direction = twin_pair_direction(v, w)
-            if direction is not None:
-                out.append((v, w, direction))
-    return out
-
-
-def neighbor_moves(
-    code: Code, alphabet: Alphabet
-) -> Iterator[tuple[FlipMove, Code]]:
-    """All single flips, in deterministic order."""
-    for v, w, direction in twin_pairs(code):
-        rest = [x for x in code if x not in (v, w)]
-        for t in alphabet.unprimed():
-            if t >> 1 == v[direction] >> 1:
-                continue
-            move = FlipMove(pair=(v, w), direction=direction, letters=(t, t ^ 1))
-            successor = tuple(sorted(rest + list(move.replacement())))
-            yield move, successor
+    """``(v, w, direction)`` per twin pair, ``v < w``, in sorted order of
+    ``v`` and then ``w``."""
+    if any(len(v) != _dim(code) for v in code):
+        raise ValueError("mixed dimensions in code")
+    packing = _Packing.of(code, inferred_alphabet(code))
+    state = packing.pack(code)
+    words = packing.words
+    return [(words[state[a]], words[state[b]], i) for a, b, i, _ in packing.twins(state)]
 
 
 def neighbors(code: Code, alphabet: Alphabet) -> tuple[Code, ...]:
-    seen = {successor for _, successor in neighbor_moves(code, alphabet)}
-    seen.discard(code)
-    return tuple(sorted(seen))
+    """The codes one flip away, sorted."""
+    code = make_code(code, alphabet)
+    packing = _Packing.of(code, alphabet)
+    return tuple(map(packing.unpack, sorted(packing.successors(packing.pack(code)))))
 
 
 @dataclass(frozen=True)
@@ -149,32 +234,36 @@ def closure(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ClosureResult:
     """Breadth-first fixpoint of the flip relation; the seed is a state.
-    At most ``state_budget`` states are kept; meeting one more ends the
-    search unexhausted, with the states not fully expanded as frontier."""
+    Each state's successors are visited in sorted order.  At most
+    ``state_budget`` states are kept; meeting one more ends the search
+    unexhausted, with the states not fully expanded as frontier."""
     if state_budget <= 0:
         raise ValueError("state budget must be positive")
-    visited: set[Code] = {code}
-    queue: deque[Code] = deque([code])
-    while queue:
-        current = queue.popleft()
-        for successor in neighbors(current, alphabet):
-            if successor in visited:
-                continue
+    code = make_code(code, alphabet)
+    packing = _Packing.of(code, alphabet)
+    start = packing.pack(code)
+    visited = {start}
+    queue = [start]
+
+    def result(frontier: int) -> ClosureResult:
+        # every state kept is queued once; unpacking while popping lets the
+        # packed states go as their codes are built
+        visited.clear()
+        states = frozenset(packing.unpack(queue.pop()) for _ in range(len(queue)))
+        return ClosureResult(
+            states=states,
+            exhausted=not frontier,
+            frontier_count=frontier,
+            state_budget=state_budget,
+        )
+
+    for index, current in enumerate(queue):
+        for successor in sorted(packing.successors(current) - visited):
             if len(visited) >= state_budget:
-                return ClosureResult(
-                    states=frozenset(visited),
-                    exhausted=False,
-                    frontier_count=len(queue) + 1,
-                    state_budget=state_budget,
-                )
+                return result(len(queue) - index)
             visited.add(successor)
             queue.append(successor)
-    return ClosureResult(
-        states=frozenset(visited),
-        exhausted=True,
-        frontier_count=0,
-        state_budget=state_budget,
-    )
+    return result(0)
 
 
 def find_flip_path(
@@ -187,31 +276,19 @@ def find_flip_path(
     """Shortest flip sequence from ``start`` to ``goal`` (or to any state
     the ``accept`` predicate likes).  The returned trace replays exactly.
     At most ``state_budget`` states are kept; meeting one more exceeds it."""
-    if accept is None:
-        if goal is None:
-            raise ValueError("need a goal code or an accept predicate")
-        accept = lambda state: state == goal
-    if accept(start):
-        return Verdict.YES, ()
-    parents: dict[Code, tuple[Code, FlipMove]] = {start: (start, None)}  # type: ignore[dict-item]
-    queue: deque[Code] = deque([start])
-    while queue:
-        current = queue.popleft()
-        for move, successor in neighbor_moves(current, alphabet):
-            if successor in parents:
-                continue
-            if len(parents) >= state_budget:
-                return Verdict.EXCEEDED, None
-            parents[successor] = (current, move)
-            if accept(successor):
-                trace = []
-                state = successor
-                while state != start:
-                    state, step = parents[state]
-                    trace.append(step)
-                return Verdict.YES, tuple(reversed(trace))
-            queue.append(successor)
-    return Verdict.NO, None
+    if accept is None and goal is None:
+        raise ValueError("need a goal code or an accept predicate")
+    start = make_code(start, alphabet)
+    packing = _Packing.of(start, alphabet)
+    if accept is not None:
+        found = lambda state: accept(packing.unpack(state))
+    else:
+        goal = make_code(goal, alphabet)
+        # a goal of another dimension is never met, and its packed words
+        # could collide with the start's
+        target = packing.pack(goal) if _dim(goal) == _dim(start) else None
+        found = lambda state: state == target
+    return packing.search(packing.pack(start), found, state_budget)
 
 
 def replay(code: Code, trace: Sequence[FlipMove]) -> Code:
@@ -291,8 +368,11 @@ def extract_word(
         raise ValueError("extraction requires a covering code")
     if sum(1 for v in code if overlap_weight(v, word) > 0) > 4:
         raise ValueError("extraction requires at most four meeting words")
-    verdict, trace = find_flip_path(
-        code, None, alphabet, state_budget, accept=lambda state: word in state
+    code = make_code(code, alphabet)
+    packing = _Packing.of(code, alphabet)
+    target = pack_word(word, alphabet)
+    verdict, trace = packing.search(
+        packing.pack(code), lambda state: target in state, state_budget
     )
     if verdict != Verdict.YES:
         raise RuntimeError("extraction search failed; this is a defect")

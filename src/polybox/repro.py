@@ -16,6 +16,8 @@ from .alphabet import Alphabet
 from .core import (
     Code,
     Word,
+    _dichotomy_row,
+    _letter_masks,
     are_disjoint,
     are_equivalent,
     binary_code_set,
@@ -66,6 +68,9 @@ COVER_CLASS_COUNTS = {5: 1, 6: 1, 7: 3, 8: 4, 9: 19, 10: 51, 11: 153}
 # positions from d=3 on; regression values, oracle-checked
 SMALL_COVER_CLASS_COUNTS = {2: 4, 5: 6}
 D2_TILING_CODE_COUNT = 12  # regression value, exhaustive generation
+# cube tiling codes of dimension 3 by pair count; regression values, equal
+# to the flip closures of the simple seeds and to bench/census.py
+D3_TILING_CODE_COUNTS = {2: 744, 3: 17793}
 SABC_SIZE8_JOINT_COVERS = 64
 
 
@@ -204,6 +209,53 @@ def job_d2_connectivity(long: bool) -> JobReport:
     closed = closure(seed, alphabet)
     report.check("closure exhausted", True, closed.exhausted)
     report.check("closure reaches every tiling code", True, closed.states == census)
+    return report
+
+
+def _tiling_census(alphabet: Alphabet, dim: int) -> set[Code]:
+    """Every cube tiling code, as a set of ``2**dim`` pairwise dichotomous
+    words: backtracking over the dichotomy masks of the whole word space,
+    each code met once, its words in increasing order.  No flips."""
+    words = list(itertools.product(alphabet.letters(), repeat=dim))
+    masks = _letter_masks(words)
+    rows = [_dichotomy_row(masks, v) for v in words]
+    found: set[Code] = set()
+    chosen: list[Word] = []
+
+    def rec(candidates: int, need: int) -> None:
+        if need == 0:
+            found.add(tuple(chosen))
+            return
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            chosen.append(words[j])
+            rec(candidates & rows[j], need - 1)
+            chosen.pop()
+
+    rec((1 << len(words)) - 1, 1 << dim)
+    return found
+
+
+def job_connectivity(long: bool) -> JobReport:
+    """Flip connectivity of all cube tiling codes of dimension 3 over two
+    and three pairs: a census by backtracking equals the flip closure of the
+    simple seed."""
+    report = JobReport("connectivity", True)
+    dim = 3
+    seed = make_code(itertools.product((0, 1), repeat=dim))
+    for pairs, count in D3_TILING_CODE_COUNTS.items():
+        alphabet = Alphabet(pairs)
+        census = _tiling_census(alphabet, dim)
+        report.check(f"tiling codes d={dim}, {pairs} pairs (regression)", count, len(census))
+        closed = closure(seed, alphabet)
+        report.check(f"closure exhausted, {pairs} pairs", True, closed.exhausted)
+        report.check(
+            f"closure of the simple seed is the census, {pairs} pairs",
+            True,
+            closed.states == census,
+        )
     return report
 
 
@@ -363,6 +415,7 @@ JOBS = {
     "special-pair": (job_special_pair, "structural checks of the bundled 12-word pair"),
     "example1": (job_example1, "replay of the bundled four-flip sequence"),
     "d2-connectivity": (job_d2_connectivity, "census and flip connectivity of 2x2 tiling codes"),
+    "connectivity": (job_connectivity, "census and flip connectivity of d=3 tiling codes over 2 and 3 pairs"),
     "oracle-fuzz": (job_oracle_fuzz, "weight criterion vs cell-enumeration oracle"),
     "cover-bound-soundness": (job_cover_bound_soundness, "deficiency bound never prunes a completable partial"),
     "sabc-partial": (job_sabc_partial, "size-8 joint covers of the two-word anchor pair (--long)"),

@@ -225,6 +225,13 @@ class TestRepro:
         assert run("repro", "lemma4") == 0
         assert "expected 6 computed 6 [ok]" in capsys.readouterr().out
 
+    def test_connectivity_job(self, capsys):
+        assert run("repro", "connectivity") == 0
+        out = capsys.readouterr().out
+        assert "expected 744 computed 744 [ok]" in out
+        assert "expected 17793 computed 17793 [ok]" in out
+        assert "connectivity: PASS" in out
+
     def test_long_only_guard(self, capsys):
         assert run("repro", "sabc-partial") == 2
         assert "--long" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Core predicates: dichotomy, twin pairs, weights, covers, densities,
-binary codes and distributions."""
+binary codes and distributions; packed words."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,10 @@ from polybox.core import (
     make_code,
     minimal_cover_within,
     overlap_weight,
+    pack_code,
+    pack_word,
     twin_pair_direction,
+    word_table,
 )
 from polybox.catalog import example_pair, small_covers, special_pair
 from polybox.pbxio import parse_code, parse_word
@@ -262,3 +267,34 @@ class TestCodeValidation:
     def test_simple_code_of_full_size_is_a_tiling(self):
         _, code = parse_code("aa\naa'\na'a\na'a'\n")
         assert is_simple(code) and is_cube_tiling_code(code)
+
+
+class TestPackedWords:
+    def test_packing_is_lex_order_and_round_trips(self):
+        alphabet = Alphabet(3)
+        words = list(itertools.product(alphabet.letters(), repeat=3))  # lex order
+        packed = [pack_word(v, alphabet) for v in words]
+        assert packed == list(range(alphabet.size**3))
+        table = word_table(alphabet, 3)
+        assert [table[n] for n in packed] == words
+
+    def test_position_zero_is_most_significant(self):
+        assert pack_word(W("ba"), Alphabet(2)) == 2 * 4 + 0
+        assert pack_word(W("ab"), Alphabet(2)) == 2
+
+    def test_code_packs_sorted(self):
+        _, second = example_pair()
+        alphabet = Alphabet(3)
+        packed = pack_code(tuple(reversed(second)), alphabet)
+        assert packed == tuple(sorted(packed))
+        assert tuple(map(word_table(alphabet, 2).__getitem__, packed)) == second
+
+    def test_letters_outside_the_alphabet_are_refused(self):
+        for word in ((0, 4), (STAR, 0), (-2, 0)):
+            with pytest.raises(ValueError, match="alphabet"):
+                pack_word(word, Alphabet(2))
+
+    def test_table_holds_only_the_words_met_and_shares_them(self):
+        table = word_table(Alphabet(8), 8)  # 16**8 words
+        n = pack_word(W("bbbbbbbb"), Alphabet(8))
+        assert table[n] is table[n] and len(table) == 1

@@ -2,6 +2,7 @@
 lock tests, extraction, cover normalization and layer simplification."""
 
 import itertools
+from collections import deque
 from random import Random
 
 import pytest
@@ -17,6 +18,7 @@ from polybox.core import (
     is_simple,
     make_code,
     minimal_cover_within,
+    overlap_weight,
     twin_pair_direction,
 )
 from polybox.catalog import (
@@ -27,6 +29,8 @@ from polybox.catalog import (
     special_pair,
 )
 from polybox.moves import (
+    DEFAULT_STATE_BUDGET,
+    FlipMove,
     Verdict,
     apply_flip,
     closure,
@@ -37,6 +41,7 @@ from polybox.moves import (
     glue,
     inverse_flip,
     is_locked_cover,
+    is_locked_cover_code,
     is_strongly_equivalent,
     layer,
     merge_layers,
@@ -47,7 +52,8 @@ from polybox.moves import (
     twin_pairs,
 )
 from polybox.pbxio import parse_word
-from polybox.sampling import random_tiling_code
+from polybox.sampling import random_code, random_tiling_code
+from polybox.search import enumerate_minimal_covers
 
 from strategies import codes
 
@@ -141,6 +147,54 @@ class TestNeighbors:
             code = make_code([W("b"), W("b'")])
             assert len(neighbors(code, Alphabet(pairs))) == pairs - 1
 
+    def test_twin_pairs_refuse_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            twin_pairs((W("a"), W("a'b")))
+
+
+SIMPLE_D2 = make_code(itertools.product((0, 1), repeat=2))
+
+
+class TestSeedsAreChecked:
+    """Seeds and goals pass through ``make_code`` on entry."""
+
+    def test_unsorted_seed_is_not_a_state_of_its_own(self):
+        result = closure(tuple(reversed(SIMPLE_D2)), Alphabet(2))
+        assert len(result.states) == 12
+        assert result.states == closure(SIMPLE_D2, Alphabet(2)).states
+
+    def test_unsorted_start_already_at_its_goal(self):
+        reversed_simple = tuple(reversed(SIMPLE_D2))
+        assert find_flip_path(reversed_simple, SIMPLE_D2, Alphabet(2)) == (Verdict.YES, ())
+        assert find_flip_path(SIMPLE_D2, reversed_simple, Alphabet(2)) == (Verdict.YES, ())
+
+    def test_unsorted_code_has_the_sorted_neighbors(self):
+        assert neighbors(tuple(reversed(SIMPLE_D2)), Alphabet(2)) == neighbors(
+            SIMPLE_D2, Alphabet(2)
+        )
+
+    def test_letters_outside_the_alphabet_are_refused(self):
+        outside = ((4,), (5,))  # c, c' under two pairs
+        with pytest.raises(ValueError, match="alphabet"):
+            closure(outside, Alphabet(2))
+        with pytest.raises(ValueError, match="alphabet"):
+            neighbors(outside, Alphabet(2))
+        with pytest.raises(ValueError, match="alphabet"):
+            find_flip_path(outside, outside, Alphabet(2))
+        with pytest.raises(ValueError, match="alphabet"):
+            find_flip_path(((0,), (1,)), outside, Alphabet(2))
+
+    def test_non_codes_are_refused(self):
+        with pytest.raises(ValueError, match="dichotomous"):
+            closure((W("a"), W("b")), Alphabet(2))
+
+    def test_goal_of_another_dimension_is_never_met(self):
+        # (a, a') packs to the same ints as (aa, aa') over two pairs
+        verdict, trace = find_flip_path(
+            make_code([W("aa"), W("aa'")]), make_code([W("a"), W("a'")]), Alphabet(2)
+        )
+        assert verdict == Verdict.NO and trace is None
+
 
 class TestClosure:
     def test_twin_free_seed_is_alone(self):
@@ -208,6 +262,15 @@ class TestStrongEquivalence:
         assert (
             is_strongly_equivalent(first, second, Alphabet(3), state_budget=2)
             == Verdict.EXCEEDED
+        )
+
+    def test_budget_equal_to_the_reachable_set_is_enough(self):
+        first, _ = example_pair()
+        size = len(closure(first, Alphabet(3)).states)
+        unreachable = make_code([W("aa")])
+        assert find_flip_path(first, unreachable, Alphabet(3), size) == (Verdict.NO, None)
+        assert find_flip_path(first, unreachable, Alphabet(3), size - 1) == (
+            Verdict.EXCEEDED, None
         )
 
     def test_trace_replays(self):
@@ -371,3 +434,178 @@ class TestFixedComponent:
         verdict, trace = find_flip_path(start, goal, alphabet)
         assert verdict == Verdict.YES
         assert all(not (set(move.pair) & fixed) for move in trace)
+
+
+# slow twins: the flip engine over word tuples with a pairwise twin scan,
+# kept verbatim as the reference the packed engine must match -------------
+
+def slow_twin_pairs(code):
+    out = []
+    for i, v in enumerate(code):
+        for w in code[i + 1 :]:
+            direction = twin_pair_direction(v, w)
+            if direction is not None:
+                out.append((v, w, direction))
+    return out
+
+
+def slow_neighbor_moves(code, alphabet):
+    for v, w, direction in slow_twin_pairs(code):
+        rest = [x for x in code if x not in (v, w)]
+        for t in alphabet.unprimed():
+            if t >> 1 == v[direction] >> 1:
+                continue
+            move = FlipMove(pair=(v, w), direction=direction, letters=(t, t ^ 1))
+            successor = tuple(sorted(rest + list(move.replacement())))
+            yield move, successor
+
+
+def slow_neighbors(code, alphabet):
+    seen = {successor for _, successor in slow_neighbor_moves(code, alphabet)}
+    seen.discard(code)
+    return tuple(sorted(seen))
+
+
+def slow_closure(code, alphabet, state_budget=DEFAULT_STATE_BUDGET):
+    """(states, exhausted, frontier count)."""
+    visited = {code}
+    queue = deque([code])
+    while queue:
+        current = queue.popleft()
+        for successor in slow_neighbors(current, alphabet):
+            if successor in visited:
+                continue
+            if len(visited) >= state_budget:
+                return visited, False, len(queue) + 1
+            visited.add(successor)
+            queue.append(successor)
+    return visited, True, 0
+
+
+def slow_find_flip_path(start, goal, alphabet, state_budget=DEFAULT_STATE_BUDGET, accept=None):
+    if accept is None:
+        accept = lambda state: state == goal
+    if accept(start):
+        return Verdict.YES, ()
+    parents = {start: (start, None)}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for move, successor in slow_neighbor_moves(current, alphabet):
+            if successor in parents:
+                continue
+            if len(parents) >= state_budget:
+                return Verdict.EXCEEDED, None
+            parents[successor] = (current, move)
+            if accept(successor):
+                trace = []
+                state = successor
+                while state != start:
+                    state, step = parents[state]
+                    trace.append(step)
+                return Verdict.YES, tuple(reversed(trace))
+            queue.append(successor)
+    return Verdict.NO, None
+
+
+def slow_is_locked_cover_code(inner, code, alphabet, threshold=5, state_budget=DEFAULT_STATE_BUDGET):
+    def meets_below(state):
+        return any(sum(1 for v in state if overlap_weight(v, p) > 0) < threshold for p in inner)
+
+    verdict, _ = slow_find_flip_path(code, None, alphabet, state_budget, accept=meets_below)
+    return {Verdict.YES: Verdict.NO, Verdict.NO: Verdict.YES}.get(verdict, verdict)
+
+
+def _seeded_codes():
+    """Tiling codes and greedy codes cut short (often without twin pairs),
+    d=1-4 over 1-3 pairs, and the twin-pair-free special pair."""
+    rng = Random(20261018)
+    out = [(Alphabet(2), code) for code in special_pair()]
+    for dim in (1, 2, 3, 4):
+        for pairs in (1, 2, 3):
+            alphabet = Alphabet(pairs)
+            for _ in range(3):
+                out.append((alphabet, random_tiling_code(alphabet, dim, rng)))
+                size = rng.randrange(1, (1 << dim) + 1)
+                out.append((alphabet, random_code(alphabet, dim, rng, max_size=size)))
+    return out
+
+
+def _simple(dim):
+    return make_code(itertools.product((0, 1), repeat=dim))
+
+
+class TestAgainstSlowTwins:
+    def test_twin_pairs_and_neighbors(self):
+        seeded = _seeded_codes()
+        for alphabet, code in seeded:
+            assert twin_pairs(code) == slow_twin_pairs(code)
+            assert neighbors(code, alphabet) == slow_neighbors(code, alphabet)
+        assert any(not slow_twin_pairs(code) for _, code in seeded)
+        assert any(len(slow_twin_pairs(code)) > 8 for _, code in seeded)
+
+    @pytest.mark.parametrize("dim, pairs, count", [(2, 2, 12), (3, 2, 744), (3, 3, 17793)])
+    def test_closures(self, dim, pairs, count):
+        result = closure(_simple(dim), Alphabet(pairs))
+        states, exhausted, _ = slow_closure(_simple(dim), Alphabet(pairs))
+        assert result.exhausted and exhausted
+        assert result.states == states and len(states) == count
+
+    def test_budgeted_closure(self):
+        result = closure(_simple(4), Alphabet(2), state_budget=30000)
+        states, exhausted, frontier = slow_closure(_simple(4), Alphabet(2), 30000)
+        assert (result.states, result.exhausted, result.frontier_count) == (
+            states, exhausted, frontier
+        )
+
+    def test_small_budgets(self):
+        first, _ = example_pair()
+        for budget in range(1, 40, 3):
+            result = closure(first, Alphabet(3), state_budget=budget)
+            assert (result.states, result.exhausted, result.frontier_count) == slow_closure(
+                first, Alphabet(3), budget
+            )
+
+    def test_extraction_traces_over_all_small_covers(self):
+        alphabet, word = Alphabet(3), (2,) * 5
+        covers = [c for n in (2, 3, 4) for c in enumerate_minimal_covers(word, n, alphabet)]
+        assert len(covers) == 2690
+        for cover in covers:
+            expected = slow_find_flip_path(
+                cover, None, alphabet, accept=lambda state: word in state
+            )
+            assert (Verdict.YES, extract_word(cover, word, alphabet)) == expected
+
+    def test_goal_searches(self):
+        rng = Random(5)
+        cases = [(Alphabet(3), *example_pair()), (Alphabet(2), *special_pair())]
+        for dim, pairs in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            alphabet = Alphabet(pairs)
+            for _ in range(4):
+                cases.append(
+                    (alphabet, random_tiling_code(alphabet, dim, rng), random_tiling_code(alphabet, dim, rng))
+                )
+        verdicts = set()
+        for alphabet, start, goal in cases:
+            for budget in (3000, 50):
+                found = find_flip_path(start, goal, alphabet, budget)
+                assert found == slow_find_flip_path(start, goal, alphabet, budget)
+                verdicts.add(found[0])
+        assert verdicts == set(Verdict)
+
+    def test_lock_verdicts(self):
+        first, second = special_pair()
+        cases = [(Alphabet(2), (p,), second) for p in first]
+        cases += [(Alphabet(3), (W("bbbbb"),), cover) for cover in small_covers()]
+        rng = Random(3)
+        for _ in range(6):
+            alphabet = Alphabet(rng.choice((2, 3)))
+            code = random_tiling_code(alphabet, 3, rng)
+            cases.append((alphabet, (code[0],), code))
+        verdicts = set()
+        for alphabet, inner, code in cases:
+            for threshold, budget in ((5, DEFAULT_STATE_BUDGET), (2, DEFAULT_STATE_BUDGET), (1, 20)):
+                verdict = is_locked_cover_code(inner, code, alphabet, threshold, budget)
+                assert verdict == slow_is_locked_cover_code(inner, code, alphabet, threshold, budget)
+                verdicts.add(verdict)
+        assert verdicts == set(Verdict)
