@@ -42,6 +42,11 @@ from .core import (
 DEFAULT_STATE_BUDGET = 10**6
 
 
+def _check_budget(state_budget: int) -> None:
+    if state_budget <= 0:
+        raise ValueError("state budget must be positive")
+
+
 class Verdict(Enum):
     YES = "yes"
     NO = "no"
@@ -172,6 +177,7 @@ class _Packing:
         state_budget: int,
     ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
         """Breadth-first from ``start`` to the first state ``found`` likes."""
+        _check_budget(state_budget)
         if found(start):
             return Verdict.YES, ()
         parents: dict[PackedCode, tuple] = {start: ()}
@@ -237,8 +243,7 @@ def closure(
     Each state's successors are visited in sorted order.  At most
     ``state_budget`` states are kept; meeting one more ends the search
     unexhausted, with the states not fully expanded as frontier."""
-    if state_budget <= 0:
-        raise ValueError("state budget must be positive")
+    _check_budget(state_budget)
     code = make_code(code, alphabet)
     packing = _Packing.of(code, alphabet)
     start = packing.pack(code)
@@ -479,6 +484,7 @@ def simplify_tiling(
     flipped (one dimension down) until it equals its opposite layer, the
     resulting twin pairs are merged onto the next pair, and the process
     repeats.  The full flip trace is returned and replays exactly."""
+    _check_budget(state_budget)
     if not is_cube_tiling_code(code):
         raise ValueError("layer simplification applies to cube tiling codes")
     state = make_code(code)

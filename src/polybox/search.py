@@ -9,7 +9,13 @@ The workhorses:
   the complement of ``b``, so each word contributes a power-of-two weight
   given by its count of ``b``-s.  The enumeration therefore runs over
   weight compositions, seeds each with one of the standard pairs and grows
-  level by level over precomputed compatibility bitmasks.
+  the cover in two phases.  Pairwise dichotomous words have disjoint boxes,
+  so a cover is an exact tiling of the cells of the box of ``b...b``.
+  Every level but the lightest is grown heaviest first over precomputed
+  compatibility bitmasks with count checks; the lightest level is then
+  filled as an exact cover, branching on the lowest uncovered cell (Knuth,
+  "Dancing links", arXiv cs/0011047), which cuts off the branches that
+  leave some cell with no word to cover it.
 * ``enumerate_minimal_covers`` is a direct depth-first enumeration of
   minimal covers with no seeding assumptions; it doubles as an
   independent cross-check for ``cover_word`` and handles covers that are
@@ -23,6 +29,7 @@ The workhorses:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -47,8 +54,9 @@ from .moves import DEFAULT_STATE_BUDGET, Verdict, is_locked_cover_code
 
 ANCHOR_LETTER = 2  # the letter written ``b``
 
-# bytes of bitmask rows a cover pool may hold; (3, 6) needs about 61 MB,
-# (3, 7) about 1.5 GB
+# bytes of bitmask tables a cover pool may hold, word rows and cell tables
+# together; (3, 6) needs about 77 MB (61 MB of rows, 16 MB of cell
+# tables), (3, 7) about 1.8 GB
 POOL_ROW_BYTES_CAP = 1 << 27
 
 
@@ -93,6 +101,63 @@ class _Pool:
     level_masks: tuple[int, ...]
     dichotomous: tuple[int, ...]
     twin_free: tuple[int, ...]
+    # the box of b...b split into cells: word i's sub-box as a cell mask,
+    # and per cell the mask of the words whose sub-box holds it
+    cells: tuple[int, ...]
+    cell_words: tuple[int, ...]
+
+
+def _pool_bytes(pair_count: int, dim: int) -> tuple[int, int, int, int]:
+    """Words, cells, and the bytes of the pool's tables: the two tables of
+    one bitmask row per word over the words, and the two cell tables, one
+    row per word over the cells and one per cell over the words."""
+    size = (2 * pair_count - 1) ** dim - 1
+    ncells = 1 << ((pair_count - 1) * dim)
+    row = (size + 7) // 8
+    return size, ncells, 2 * size * row, size * ((ncells + 7) // 8) + ncells * row
+
+
+def _cell_tables(
+    pair_count: int, dim: int, letters: list[int], words: list[Word],
+    masks: list[list[int]],
+) -> tuple[list[int], list[int]]:
+    """``cells`` and ``cell_words`` over the cells of the box of ``b...b``.
+
+    Position ``i`` owns bits ``[(k-1)i, (k-1)(i+1))`` of a cell index, one
+    bit per pair other than ``b``'s.  ``b`` takes every value there, and a
+    letter of pair ``p`` with side ``s`` the values whose bit for ``p`` is
+    ``s``.  A word's cells are the AND of its letters' cell masks, each one
+    run of set bits, doubled.  A cell's words are the AND over positions of
+    the ``_letter_masks`` rows of the letters that take its value there."""
+    others = [p for p in range(pair_count) if p != ANCHOR_LETTER >> 1]
+    half = len(others)
+    ncells = 1 << (half * dim)
+    # built over the product of the letters, position 0 most significant, so
+    # the rows come in the sorted order of the words; then b...b is dropped
+    cells = [(1 << ncells) - 1]
+    for i in range(dim):
+        takes = [0] * (2 * pair_count)
+        takes[ANCHOR_LETTER] = (1 << ncells) - 1
+        for q, pair in enumerate(others):
+            run = 1 << (half * i + q)
+            ones, width = (1 << run) - 1, 2 * run
+            while width < ncells:
+                ones |= ones << width
+                width <<= 1
+            takes[2 * pair], takes[2 * pair + 1] = ones, ones << run
+        cells = [box & takes[s] for box in cells for s in letters]
+    del cells[bisect_left(words, (ANCHOR_LETTER,) * dim)]
+    # built from the last position down, so cell ``c`` ends up at index ``c``
+    cell_words = [(1 << len(words)) - 1]
+    for i in reversed(range(dim)):
+        takes = []
+        for value in range(1 << half):
+            row = masks[i][ANCHOR_LETTER]
+            for q, pair in enumerate(others):
+                row |= masks[i][2 * pair + (value >> q & 1)]
+            takes.append(row)
+        cell_words = [row & t for row in cell_words for t in takes]
+    return cells, cell_words
 
 
 @lru_cache(maxsize=8)
@@ -100,14 +165,17 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
     """Candidate words for covers of ``b...b``: everything without the
     complement of ``b`` and not the word itself, graded by ``b``-count.
 
-    Refused up front when its two tables of one bitmask row per word, one
-    bit per word, would pass ``POOL_ROW_BYTES_CAP``."""
-    size = (2 * pair_count - 1) ** dim - 1
-    row_bytes = 2 * size * ((size + 7) // 8)
-    if row_bytes > POOL_ROW_BYTES_CAP:
+    Also splits the box of ``b...b`` into cells (``_cell_tables``): each
+    word's sub-box as a cell mask, and per cell the mask of the words that
+    hold it.  Refused up front when its bitmask rows and cell tables
+    together would pass ``POOL_ROW_BYTES_CAP``."""
+    size, ncells, row_bytes, cell_bytes = _pool_bytes(pair_count, dim)
+    if row_bytes + cell_bytes > POOL_ROW_BYTES_CAP:
         raise ValueError(
-            f"cover pool too large: {size:,} words need {row_bytes:,} bytes "
-            f"of bitmask rows (cap {POOL_ROW_BYTES_CAP:,})"
+            f"cover pool too large: {size:,} words over {ncells:,} cells need "
+            f"{row_bytes:,} bytes of bitmask rows and {cell_bytes:,} of cell "
+            f"tables, {row_bytes + cell_bytes:,} in total "
+            f"(cap {POOL_ROW_BYTES_CAP:,})"
         )
     letters = [s for s in range(2 * pair_count) if s != ANCHOR_LETTER ^ 1]
     words = sorted(
@@ -129,11 +197,15 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
     # a twin-free row is the dichotomy row less the word's twins (one letter
     # complemented); twins are dichotomous, so the XOR clears exactly them
     twin_free = [row ^ twins(w) for w, row in zip(words, dichotomous)]
+
+    cells, cell_words = _cell_tables(pair_count, dim, letters, words, masks)
     return _Pool(
         words=tuple(words),
         level_masks=tuple(level_masks),
         dichotomous=tuple(dichotomous),
         twin_free=tuple(twin_free),
+        cells=tuple(cells),
+        cell_words=tuple(cell_words),
     )
 
 
@@ -222,17 +294,28 @@ def _grow(
 ) -> None:
     """Fill the remaining level multiset over the compatibility masks.
 
-    Levels are taken heaviest first and every pick forward-checks that all
-    later levels still have enough compatible candidates.  Each index set
-    is produced exactly once per level profile."""
+    Pairwise dichotomous words have disjoint sub-boxes, so a cover is an
+    exact tiling of the cells of ``b...b``.  The search runs in two phases.
+    Every level group but the lightest is picked heaviest first, in index
+    order, and each pick forward-checks that all later levels still have
+    enough compatible candidates; the uncovered cells are tracked as one
+    int.  The lightest group is then filled as an exact cover: branch on
+    the lowest uncovered cell, over the candidates that hold it.  Its words
+    all have one weight, so every completion tiles the uncovered cells with
+    the right word count, and each tiling holds the branching cell in
+    exactly one word.  Each index set is produced exactly once per level
+    profile."""
     if not level_seq:
         collect(frozenset(base))
         return
     compat = pool.twin_free if twin_free else pool.dichotomous
     masks = pool.level_masks
+    cells, cell_words = pool.cells, pool.cell_words
     groups: list[tuple[int, int]] = []
     for level in sorted(set(level_seq), reverse=True):
         groups.append((level, level_seq.count(level)))
+    last = len(groups) - 1
+    lightest = masks[groups[last][0]]
 
     def feasible(mask: int, after: int) -> bool:
         for level, need in groups[after:]:
@@ -240,13 +323,32 @@ def _grow(
                 return False
         return True
 
-    def pick(gi: int, candidates: int, mask: int, need: int, chosen: tuple[int, ...]) -> None:
+    def tile(uncovered: int, candidates: int, chosen: tuple[int, ...]) -> None:
+        # the lightest group needs a word, so cells are left on entry; each
+        # candidate is dichotomous with the words chosen, so its cells are
+        # all still uncovered
+        cell = (uncovered & -uncovered).bit_length() - 1
+        options = cell_words[cell] & candidates
+        while options:
+            low = options & -options
+            idx = low.bit_length() - 1
+            options ^= low
+            rest = uncovered ^ cells[idx]
+            if rest:
+                tile(rest, candidates & compat[idx], chosen + (idx,))
+            else:
+                collect(frozenset(chosen + (idx,)))
+
+    def pick(
+        gi: int, candidates: int, mask: int, need: int, uncovered: int,
+        chosen: tuple[int, ...],
+    ) -> None:
         if need == 0:
-            if gi + 1 == len(groups):
-                collect(frozenset(chosen))
+            if gi + 1 == last:
+                tile(uncovered, mask & lightest, chosen)
             else:
                 level, count = groups[gi + 1]
-                pick(gi + 1, mask & masks[level], mask, count, chosen)
+                pick(gi + 1, mask & masks[level], mask, count, uncovered, chosen)
             return
         while candidates:
             low = candidates & -candidates
@@ -257,11 +359,21 @@ def _grow(
                 continue
             if not feasible(nmask, gi + 1):
                 continue
-            pick(gi, candidates & nmask, nmask, need - 1, chosen + (idx,))
+            pick(
+                gi, candidates & nmask, nmask, need - 1, uncovered ^ cells[idx],
+                chosen + (idx,),
+            )
 
-    level, count = groups[0]
-    if feasible(allowed, 0):
-        pick(0, allowed & masks[level], allowed, count, base)
+    uncovered = (1 << len(cell_words)) - 1
+    for idx in base:
+        uncovered ^= cells[idx]
+    if not feasible(allowed, 0):
+        return
+    if last == 0:
+        tile(uncovered, allowed & lightest, base)
+    else:
+        level, count = groups[0]
+        pick(0, allowed & masks[level], allowed, count, uncovered, base)
 
 
 def enumerate_minimal_covers(
@@ -274,10 +386,14 @@ def enumerate_minimal_covers(
     """Every minimal cover of ``u = b...b`` with exactly ``size`` words,
     by direct depth-first search with weight pruning; no seeding and no
     structural assumptions.  A ``keep`` predicate filters covers as they
-    stream out, keeping memory flat for large families."""
+    stream out, keeping memory flat for large families.  It sees them in
+    search order, not in the sorted order returned, so it must be a pure
+    predicate of the cover."""
     dim = len(u)
     if any(s != ANCHOR_LETTER for s in u):
         raise ValueError("cover enumeration is anchored at the constant word b...b")
+    if alphabet.pair_count < 2:
+        raise ValueError("need at least two letter pairs")
     if size < 2:
         raise ValueError("direct enumeration expects at least two words")
     pool = _cover_pool(alphabet.pair_count, dim)

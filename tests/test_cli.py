@@ -135,6 +135,15 @@ class TestClosure:
         assert out.read_text().count("---") > 0
 
 
+@pytest.mark.parametrize("command", ["closure", "simplify", "strong-equiv"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_exit_2(files, capsys, command, budget):
+    partner = [str(files["example_v"])] if command == "strong-equiv" else []
+    argv = [command, *partner, str(files["example_w"]), "--budget", budget]
+    assert run(*argv) == 2
+    assert "budget must be positive" in capsys.readouterr().err
+
+
 class TestCovers:
     def test_class_count(self, capsys):
         assert run("covers", "--word", "bbbbb", "--size", "7", "--pairs", "2") == 0

@@ -436,6 +436,52 @@ class TestFixedComponent:
         assert all(not (set(move.pair) & fixed) for move in trace)
 
 
+class TestNonPositiveBudgets:
+    """Every flip search refuses a budget of zero or less, also when it
+    would have answered at the start state without keeping a state."""
+
+    @pytest.fixture(params=[0, -5])
+    def budget(self, request):
+        return request.param
+
+    def test_closure(self, budget):
+        first, _ = example_pair()
+        with pytest.raises(ValueError, match="budget must be positive"):
+            closure(first, Alphabet(3), budget)
+
+    def test_find_flip_path(self, budget):
+        first, second = example_pair()
+        for goal in (second, first):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                find_flip_path(first, goal, Alphabet(3), budget)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            find_flip_path(first, None, Alphabet(3), budget, accept=lambda c: True)
+
+    def test_strong_equivalence(self, budget):
+        first, second = example_pair()
+        with pytest.raises(ValueError, match="budget must be positive"):
+            is_strongly_equivalent(first, second, Alphabet(3), budget)
+
+    def test_lock_tests(self, budget):
+        first, second = special_pair()
+        with pytest.raises(ValueError, match="budget must be positive"):
+            is_locked_cover(first[0], first, Alphabet(2), state_budget=budget)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            is_locked_cover_code(first, second, Alphabet(2), state_budget=budget)
+
+    def test_extract_word(self, budget):
+        for cover in small_covers()[3], make_code([W("bbbbb")]):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                extract_word(cover, W("bbbbb"), Alphabet(3), budget)
+
+    def test_simplify_tiling(self, budget):
+        _, second = example_pair()  # its layer pair needs a flip path
+        simple = make_code([W("b"), W("b'")])
+        for code in second, simple:
+            with pytest.raises(ValueError, match="budget must be positive"):
+                simplify_tiling(code, Alphabet(3), budget)
+
+
 # slow twins: the flip engine over word tuples with a pairwise twin scan,
 # kept verbatim as the reference the packed engine must match -------------
 

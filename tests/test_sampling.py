@@ -14,6 +14,7 @@ from polybox.core import (
     is_polybox_code,
     twin_pair_direction,
 )
+from polybox.realize import box
 from polybox.sampling import random_code, random_tiling_code, random_word
 from polybox.search import ANCHOR_LETTER, _cover_pool
 
@@ -154,3 +155,54 @@ def test_cover_pool_rows_match_pairwise_predicates(pairs, dim, rows):
     picked = range(len(words)) if rows is None else Random(5).sample(range(len(words)), rows)
     for i in picked:
         assert (pool.dichotomous[i], pool.twin_free[i]) == pairwise_rows(words, i)
+
+
+POOL_CASES = [(2, 5), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("pairs, dim", POOL_CASES)
+def test_cell_tables_tile_the_box_of_the_anchor(pairs, dim):
+    """Disjoint sub-boxes exactly for dichotomous words, ``2**level`` parts
+    in ``2**dim`` of the box per word, and the two tables transposed."""
+    pool = _cover_pool(pairs, dim)
+    words, cells = pool.words, pool.cells
+    ncells = len(pool.cell_words)
+    assert ncells == 1 << ((pairs - 1) * dim)
+    rng = Random(pairs * 10 + dim)
+    for i in rng.sample(range(len(words)), 60):
+        level = words[i].count(ANCHOR_LETTER)
+        assert cells[i].bit_count() == ncells >> (dim - level)
+        meets = sum(1 << j for j, other in enumerate(cells) if cells[i] & other)
+        assert meets == pool.dichotomous[i] ^ ((1 << len(words)) - 1)
+        assert cells[i] == sum(
+            1 << c for c, row in enumerate(pool.cell_words) if row >> i & 1
+        )
+    for c in rng.sample(range(ncells), min(ncells, 60)):
+        assert pool.cell_words[c] == sum(
+            1 << i for i, row in enumerate(cells) if row >> c & 1
+        )
+
+
+@pytest.mark.parametrize("pairs, dim", POOL_CASES)
+def test_cell_tables_match_the_realization_oracle(pairs, dim):
+    """A word's cells are the oracle's box of the word, inside the box of
+    ``b...b``: position ``i``'s ``k - 1`` bits are the point's bits for the
+    pairs other than ``b``'s, whose own bit is 0 there."""
+    alphabet = Alphabet(pairs)
+    pool = _cover_pool(pairs, dim)
+    others = [p for p in range(pairs) if p != ANCHOR_LETTER >> 1]
+
+    def oracle_cell(c):
+        cell = 0
+        for i in reversed(range(dim)):
+            value = c >> (len(others) * i)
+            point = sum((value >> q & 1) << p for q, p in enumerate(others))
+            cell = cell << pairs | point
+        return cell
+
+    to_oracle = [oracle_cell(c) for c in range(len(pool.cell_words))]
+    for i in Random(dim).sample(range(len(pool.words)), 60):
+        oracle = box(pool.words[i], alphabet)
+        assert pool.cells[i] == sum(
+            1 << c for c, cell in enumerate(to_oracle) if oracle >> cell & 1
+        )

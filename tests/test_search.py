@@ -2,6 +2,8 @@
 the deficiency bound, joins, anchored search and second-code rebuilding."""
 
 import itertools
+import tracemalloc
+from collections import Counter
 from random import Random
 
 import pytest
@@ -21,10 +23,12 @@ from polybox.core import (
 from polybox.catalog import special_pair
 from polybox.iso import dedup_orbits, word_stabilizer
 from polybox.moves import twin_pairs
+from polybox import search
 from polybox.pbxio import parse_word
 from polybox.search import (
     PruneContext,
     _cover_pool,
+    _grow,
     cover_bound,
     cover_code,
     cover_word,
@@ -119,6 +123,24 @@ class TestCoverWord:
         with pytest.raises(ValueError, match="dimension 5"):
             cover_word(W("bbbbbb"), 7, Alphabet(3))
         assert _cover_pool.cache_info() == before
+
+
+class TestCoverPoolCap:
+    def test_cell_tables_count_against_the_cap(self):
+        # (4, 5): 67 MB of word rows alone fit; with the cell tables they
+        # do not, and the refusal comes before anything is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="208,301,756 in total"):
+                _cover_pool(4, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_direct_enumeration_needs_the_pair_of_b(self):
+        with pytest.raises(ValueError, match="two letter pairs"):
+            enumerate_minimal_covers(W("bb"), 4, Alphabet(1))
 
 
 class TestEnumerateMinimalCovers:
@@ -329,3 +351,115 @@ class TestExtensions:
         out = extensions(code, 1, alphabet, flat_constraint=(1, 2))
         assert all(added[1] == 2 for c in out for added in set(c) - set(code))
         assert out == (make_code([W("ab"), W("a'b")]),)
+
+
+# slow twin: ``_grow`` as it was before the exact-cover phase, over counts
+# alone, kept verbatim as the reference the two-phase search must match ----
+
+def slow_grow(
+    base: tuple[int, ...],
+    allowed: int,
+    level_seq: tuple[int, ...],
+    pool,
+    collect,
+    twin_free: bool,
+) -> None:
+    if not level_seq:
+        collect(frozenset(base))
+        return
+    compat = pool.twin_free if twin_free else pool.dichotomous
+    masks = pool.level_masks
+    groups: list[tuple[int, int]] = []
+    for level in sorted(set(level_seq), reverse=True):
+        groups.append((level, level_seq.count(level)))
+
+    def feasible(mask: int, after: int) -> bool:
+        for level, need in groups[after:]:
+            if (mask & masks[level]).bit_count() < need:
+                return False
+        return True
+
+    def pick(gi: int, candidates: int, mask: int, need: int, chosen: tuple[int, ...]) -> None:
+        if need == 0:
+            if gi + 1 == len(groups):
+                collect(frozenset(chosen))
+            else:
+                level, count = groups[gi + 1]
+                pick(gi + 1, mask & masks[level], mask, count, chosen)
+            return
+        while candidates:
+            low = candidates & -candidates
+            idx = low.bit_length() - 1
+            candidates ^= low
+            nmask = mask & compat[idx]
+            if need > 1 and (candidates & nmask).bit_count() < need - 1:
+                continue
+            if not feasible(nmask, gi + 1):
+                continue
+            pick(gi, candidates & nmask, nmask, need - 1, chosen + (idx,))
+
+    level, count = groups[0]
+    if feasible(allowed, 0):
+        pick(0, allowed & masks[level], allowed, count, base)
+
+
+def grown(grow, base, allowed, level_seq, pool, twin_free) -> frozenset:
+    """The index sets one ``_grow`` call collects; each exactly once."""
+    calls = []
+    grow(base, allowed, level_seq, pool, calls.append, twin_free)
+    assert len(calls) == len(set(calls)), "an index set was collected twice"
+    return frozenset(calls)
+
+
+@pytest.fixture
+def twinned_grow(monkeypatch):
+    """Every ``_grow`` call the searches make is also run through the slow
+    twin and must collect the same index sets; the calls are recorded as
+    ``(base, level_seq, covers found)``."""
+    calls = []
+
+    def twin(base, allowed, level_seq, pool, collect, twin_free):
+        args = (base, allowed, level_seq, pool, twin_free)
+        got = grown(_grow, *args)
+        assert got == grown(slow_grow, *args), (base, level_seq)
+        calls.append((base, level_seq, len(got)))
+        for ids in got:
+            collect(ids)
+
+    monkeypatch.setattr(search, "_grow", twin)
+    return calls
+
+
+def profile(level_seq: tuple[int, ...], dim: int = 5) -> tuple[int, ...]:
+    counts = Counter(level_seq)
+    return tuple(counts[level] for level in range(dim))
+
+
+class TestGrowAgainstSlowTwin:
+    @pytest.mark.parametrize("size", range(5, 10))
+    def test_direct_twin_free_two_pairs(self, twinned_grow, size):
+        family = enumerate_minimal_covers(V5, size, Alphabet(2), twin_free=True)
+        assert len(twinned_grow) == len(weight_compositions(5, size))
+        assert len(family) == sum(found for _, _, found in twinned_grow)
+
+    @pytest.mark.parametrize(
+        "size, twin_free", [(2, False), (3, False), (4, False), (5, True), (6, True)]
+    )
+    def test_direct_three_pairs(self, twinned_grow, size, twin_free):
+        family = enumerate_minimal_covers(V5, size, Alphabet(3), twin_free=twin_free)
+        assert len(family) == sum(found for _, _, found in twinned_grow) > 0
+
+    def test_every_profile_of_the_size_7_three_pair_family(self, twinned_grow):
+        family = enumerate_minimal_covers(V5, 7, Alphabet(3), twin_free=True)
+        found = {profile(seq): n for _, seq, n in twinned_grow}
+        assert set(found) == set(weight_compositions(5, 7))
+        assert sum(found.values()) == len(family) == 66560
+        # profiles whose counts leave room but whose cells cannot be tiled
+        # twin-free: the exact-cover phase cuts these short
+        assert found[0, 0, 6, 1, 0] == found[0, 4, 2, 0, 1] == 0
+
+    @pytest.mark.parametrize("size", range(5, 10))
+    def test_seeded_two_pairs(self, twinned_grow, size):
+        family = cover_word(V5, size, Alphabet(2))
+        assert family
+        assert twinned_grow and all(len(base) == 2 for base, _, _ in twinned_grow)
