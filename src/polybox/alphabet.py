@@ -24,16 +24,6 @@ def complement(letter: int) -> int:
     return letter if letter == STAR else letter ^ 1
 
 
-def is_unprimed(letter: int) -> bool:
-    return letter >= 0 and letter & 1 == 0
-
-
-def pair_index(letter: int) -> int:
-    if letter == STAR:
-        raise ValueError("the joker belongs to no letter pair")
-    return letter >> 1
-
-
 def letter_name(letter: int) -> str:
     if letter == STAR:
         return "*"

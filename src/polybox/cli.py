@@ -16,13 +16,11 @@ from .alphabet import Alphabet
 from .catalog import entries
 from .core import (
     cover_weight,
-    density,
     distribution,
     flat_witness,
     is_covered,
     is_cube_tiling_code,
     is_simple,
-    make_code,
     are_equivalent,
     are_disjoint,
 )

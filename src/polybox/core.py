@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .alphabet import MAX_DIM, STAR, Alphabet, complement, letter_name
+from .alphabet import MAX_DIM, STAR, Alphabet, letter_name
 
 Word = tuple[int, ...]
 Code = tuple[Word, ...]

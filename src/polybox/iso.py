@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .alphabet import STAR, Alphabet
+from .alphabet import STAR, Alphabet, letter_name
 from .core import Code, Word, _DigitSum, pack_code, place_values, word_table
 
 # The element walk pays for a Schreier tree once per group (about 10 us
@@ -346,6 +346,12 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
 
     Every position permutation extends to a stabilizing element; the letter
     maps are then constrained to carry the permuted letter back."""
+    for s in word:
+        if s not in alphabet:
+            raise ValueError(
+                f"letter {letter_name(s)} of the stabilized word is outside "
+                f"the alphabet of {alphabet.pair_count} pairs"
+            )
     dim = len(word)
     generators = []
     for i in range(dim - 1):

@@ -23,13 +23,11 @@ from .alphabet import STAR, Alphabet, inferred_alphabet
 from .core import (
     Code,
     Word,
-    code_covered,
     format_plain,
     is_covered,
     is_cube_tiling_code,
     is_simple,
     make_code,
-    minimal_cover_within,
     overlap_weight,
     pack_code,
     pack_word,
@@ -330,24 +328,11 @@ def is_locked_cover(
     covered word close: every reachable state keeps at least ``threshold``
     words meeting it.  A state below the threshold admits extraction of the
     word, so the answer is NO there."""
-    return is_locked_cover_code((word,), code, alphabet, threshold, state_budget)
-
-
-def is_locked_cover_code(
-    inner: Code,
-    code: Code,
-    alphabet: Alphabet,
-    threshold: int = 5,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> Verdict:
-    if not code_covered(inner, code):
+    if not is_covered(word, code):
         raise ValueError("lock test requires a covering code")
 
     def meets_below(state: Code) -> bool:
-        for p in inner:
-            if sum(1 for v in state if overlap_weight(v, p) > 0) < threshold:
-                return True
-        return False
+        return sum(1 for v in state if overlap_weight(v, word) > 0) < threshold
 
     verdict, _ = find_flip_path(
         code, None, alphabet, state_budget, accept=meets_below
@@ -385,40 +370,6 @@ def extract_word(
     return trace
 
 
-def normalize_twin_free_covers(code: Code, simple: Code, alphabet: Alphabet) -> Code:
-    """Flip the covering code until, for every word of the simple code, the
-    words meeting it contain no twin pair.
-
-    Each step rewrites one offending twin pair onto the simple code's own
-    letter pair at that position, which can never sit inside a single
-    word's cover again; the count of positions carrying foreign pairs
-    drops, so the loop terminates within a computable bound."""
-    if not is_simple(simple):
-        raise ValueError("normalization target must be a simple code")
-    if not code_covered(simple, code):
-        raise ValueError("normalization requires a covering code")
-    target_pairs = [next(iter(pairs_at(simple, i))) for i in range(len(simple[0]))]
-    state = make_code(code)
-    bound = sum(
-        1 for v in state for i, s in enumerate(v) if s >> 1 != target_pairs[i]
-    )
-    for _ in range(bound + 1):
-        offender = None
-        for p in simple:
-            cover = minimal_cover_within(p, state)
-            pairs = twin_pairs(cover)
-            if pairs:
-                offender = pairs[0]
-                break
-        if offender is None:
-            return state
-        v, w, direction = offender
-        state = apply_flip(
-            state, flip_move(v, w, 2 * target_pairs[direction])
-        )
-    raise RuntimeError("normalization exceeded its termination bound")
-
-
 # layers of cube tiling codes ---------------------------------------------
 
 def layer(code: Code, position: int, letter: int) -> Code:
@@ -442,15 +393,6 @@ def _merge_layer_moves(
             w = v[:position] + (letter ^ 1,) + v[position + 1 :]
             moves.append(flip_move(v, w, target))
     return moves
-
-
-def merge_layers(code: Code, position: int, letter: int, target: int) -> Code:
-    """Rewrite the twin pairs spanning ``letter``/its complement onto the
-    target pair; a batch of ordinary flips."""
-    state = make_code(code)
-    for move in _merge_layer_moves(code, position, letter, target):
-        state = apply_flip(state, move)
-    return state
 
 
 def _lift_move(move: FlipMove, position: int, letter: int) -> FlipMove:

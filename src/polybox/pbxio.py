@@ -131,6 +131,8 @@ def parse_trace(text: str) -> tuple[FlipMove, ...]:
             r, q = (parse_word(t, line=number) for t in after.split())
         except (ValueError, ParseError) as exc:
             raise ParseError(f"bad move: {exc}", number) from None
+        if len({len(v), len(w), len(r), len(q)}) > 1:
+            raise ParseError("words of a move differ in length", number)
         if not 0 <= direction < len(v):
             raise ParseError("direction out of range", number)
         move = flip_move(v, w, r[direction])

@@ -23,11 +23,8 @@ from .core import (
     binary_code_set,
     common_density,
     cover_weight,
-    density,
     is_covered,
     is_dichotomous,
-    is_polybox_code,
-    is_simple,
     make_code,
     overlap_weight,
 )
@@ -44,7 +41,6 @@ from .moves import (
     apply_flip,
     closure,
     extract_word,
-    is_locked_cover,
     is_strongly_equivalent,
     replay,
     twin_pairs,
@@ -57,7 +53,6 @@ from .search import (
     cover_code,
     cover_word,
     enumerate_minimal_covers,
-    find_second_codes,
 )
 
 ANCHOR = 2  # letter b

@@ -21,9 +21,9 @@ The workhorses:
   independent cross-check for ``cover_word`` and handles covers that are
   allowed to contain twin pairs.
 * ``cover_code`` joins per-word cover families into covers of a code,
-  ``covers_containing`` grows covers anchored at a mandatory subcode with
-  the fast deficiency bound, and ``find_second_codes`` rebuilds the
-  partner of a partially known equivalent code from its binary codes.
+  ``cover_bound`` is the deficiency bound on a partial cover, and
+  ``find_second_codes`` rebuilds the partner of a partially known
+  equivalent code from its binary codes.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ from .core import (
     is_covered,
     is_dichotomous,
     make_code,
-    overlap_weight,
 )
-from .moves import DEFAULT_STATE_BUDGET, Verdict, is_locked_cover_code
 
 ANCHOR_LETTER = 2  # the letter written ``b``
 
@@ -505,107 +503,6 @@ def cover_bound(ctx: PruneContext) -> int:
     return 1 if reachable >= deficiency else 0
 
 
-# anchored cover search ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CoverSearchResult:
-    covers: tuple[Code, ...]
-    undecided_lock_tests: int
-    lock_budget: int
-
-
-def covers_containing(
-    target: Code,
-    anchor: Code,
-    slots: int,
-    alphabet: Alphabet,
-    lock_threshold: int = 5,
-    final_density_min: int = 4,
-    lock_budget: int = DEFAULT_STATE_BUDGET,
-) -> CoverSearchResult:
-    """Minimal covers of ``target`` containing the ``anchor`` code, grown
-    word by word with the deficiency bound.
-
-    Partials that already cover the target so tightly that no flip
-    sequence could ever free one of its words are harvested early; the
-    final stage keeps full covers whose density against the target meets
-    the stated minimum.  Lock tests that exhaust their budget are counted
-    and reported, not guessed."""
-    if slots < 1:
-        raise ValueError("need at least one slot")
-    if not all(cover_weight(w, target) > 0 for w in anchor):
-        raise ValueError("every anchor word must meet the target")
-    anchor = make_code(anchor)
-    if code_covered(target, anchor):
-        return CoverSearchResult((anchor,), 0, lock_budget)
-    every_word = tuple(
-        sorted(itertools.product(alphabet.letters(), repeat=len(target[0])))
-    )
-    gate = PruneContext(partial=anchor, target=target, pool=every_word, slots=slots)
-    if cover_bound(gate) == 0:
-        return CoverSearchResult((), 0, lock_budget)
-    pool = candidate_pool(gate)
-    if not pool:
-        return CoverSearchResult((), 0, lock_budget)
-    undecided = 0
-    harvested: set[frozenset[Word]] = set()
-    alive = [frozenset(anchor)]
-
-    def locked(partial: frozenset[Word]) -> bool:
-        nonlocal undecided
-        state = tuple(sorted(partial))
-        if not code_covered(target, state):
-            return False
-        verdict = is_locked_cover_code(
-            target, state, alphabet, lock_threshold, lock_budget
-        )
-        if verdict == Verdict.EXCEEDED:
-            undecided += 1
-            return False
-        return verdict == Verdict.YES
-
-    for stage in range(1, slots):
-        grown: set[frozenset[Word]] = set()
-        for partial in alive:
-            for q in pool:
-                if q in partial:
-                    continue
-                if all(is_dichotomous(q, v) for v in partial):
-                    grown.add(partial | {q})
-        next_alive = []
-        for candidate in sorted(grown, key=sorted):
-            if locked(candidate):
-                harvested.add(candidate)
-                continue
-            ctx = PruneContext(
-                partial=tuple(sorted(candidate)),
-                target=target,
-                pool=pool,
-                slots=slots - stage,
-            )
-            if cover_bound(ctx) == 1:
-                next_alive.append(candidate)
-        alive = next_alive
-        if not alive:
-            break
-    finals: set[frozenset[Word]] = set()
-    for partial in alive:
-        for q in pool:
-            if q in partial:
-                continue
-            if not all(is_dichotomous(q, v) for v in partial):
-                continue
-            candidate = tuple(sorted(partial | {q}))
-            if code_covered(target, candidate) and density(candidate, target) >= final_density_min:
-                finals.add(frozenset(candidate))
-    covers = harvested | finals
-    return CoverSearchResult(
-        covers=tuple(sorted(tuple(sorted(c)) for c in covers)),
-        undecided_lock_tests=undecided,
-        lock_budget=lock_budget,
-    )
-
-
 # rebuilding the second code -----------------------------------------------
 
 def find_second_codes(
@@ -660,44 +557,4 @@ def find_second_codes(
         )
         if ok and density(candidate, known) >= min_density:
             out.append(candidate)
-    return tuple(sorted(out))
-
-
-# generic extensions -------------------------------------------------------
-
-def extensions(
-    code: Code,
-    count: int,
-    alphabet: Alphabet,
-    flat_constraint: tuple[int, int] | None = None,
-) -> tuple[Code, ...]:
-    """All codes obtained by adding exactly ``count`` new words; with a
-    flat constraint the new words are pinned to one letter at one
-    position, which is all a flat code's equivalents can use."""
-    base = make_code(code)
-    if count == 0:
-        return (base,)
-    if not base:
-        raise ValueError("extension needs a non-empty code")
-    pool = [
-        q
-        for q in itertools.product(alphabet.letters(), repeat=len(base[0]))
-        if q not in base
-        and (flat_constraint is None or q[flat_constraint[0]] == flat_constraint[1])
-        and all(is_dichotomous(q, v) for v in base)
-    ]
-    masks = _letter_masks(pool)
-    out: list[Code] = []
-
-    def rec(candidates: int, picked: Code) -> None:
-        if len(picked) == count:
-            out.append(tuple(sorted(base + picked)))
-            return
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            q = pool[low.bit_length() - 1]
-            rec(candidates & _dichotomy_row(masks, q), picked + (q,))
-
-    rec((1 << len(pool)) - 1, ())
     return tuple(sorted(out))

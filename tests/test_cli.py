@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output determinism, file handling."""
 
+import ast
 import subprocess
 import sys
 import time
@@ -106,6 +107,16 @@ class TestStrongEquiv:
         )
 
 
+class TestReplay:
+    def test_words_of_unequal_length_exit_2(self, tmp_path, capsys):
+        seed = tmp_path / "simple.pbx"
+        seed.write_text("aa\naa'\na'a\na'a'\n")
+        trace = tmp_path / "short.trace"
+        trace.write_text("2: aa aa' -> b b'\n")
+        assert run("replay", str(seed), str(trace)) == 2
+        assert "line 1: words of a move differ in length" in capsys.readouterr().err
+
+
 class TestDotCover:
     def test_not_locked(self, capsys):
         assert (
@@ -182,6 +193,15 @@ class TestCanon:
         assert run("canon", str(single), "--pairs", "3", "--stabilize", "bbbbbbbb") == 0
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().out.splitlines()[-1] == "bbbbbbbb"
+
+    @pytest.mark.parametrize("code, word", [("aaaaab\n", "cccccc"), ("aa\na'b\n", "cc")])
+    def test_stabilized_word_outside_the_alphabet(self, tmp_path, capsys, code, word):
+        path = tmp_path / "code.pbx"
+        path.write_text(code)
+        assert run("canon", str(path), "--stabilize", word) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "letter c of the stabilized word is outside the alphabet of 2 pairs" in err
 
 
 class TestFindSecond:
@@ -267,3 +287,31 @@ def test_cli_imports_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_modules_load_every_name_they_import():
+    # an import nothing reads is a dependency only in appearance
+    unused = []
+    for path in sorted(DATA.parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in loaded
+        ]
+    assert not unused, "imported but never loaded:\n" + "\n".join(unused)

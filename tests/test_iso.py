@@ -150,6 +150,12 @@ class TestStabilizers:
         stab = word_stabilizer(W("bb"), Alphabet(2))
         assert identity(Alphabet(2), 2) in set(stab.elements())
 
+    def test_word_stabilizer_refuses_foreign_letters(self):
+        # orders 8 (checked by the element walk) and 46,080 (not checked)
+        for word in W("cc"), W("cccccc"), W("bc"), (2, -1):
+            with pytest.raises(ValueError, match="outside the alphabet of 2 pairs"):
+                word_stabilizer(word, Alphabet(2))
+
 
 class TestCanonicalForms:
     def test_idempotent(self):

@@ -1,5 +1,5 @@
 """The flip calculus: glue/cut round trips, flip invariants, closures,
-lock tests, extraction, cover normalization and layer simplification."""
+lock tests, extraction and layer simplification."""
 
 import itertools
 from collections import deque
@@ -13,11 +13,9 @@ from polybox.core import (
     are_equivalent,
     binary_code_set,
     density,
-    is_covered,
     is_polybox_code,
     is_simple,
     make_code,
-    minimal_cover_within,
     overlap_weight,
     twin_pair_direction,
 )
@@ -32,6 +30,7 @@ from polybox.moves import (
     DEFAULT_STATE_BUDGET,
     FlipMove,
     Verdict,
+    _merge_layer_moves,
     apply_flip,
     closure,
     cut,
@@ -41,12 +40,9 @@ from polybox.moves import (
     glue,
     inverse_flip,
     is_locked_cover,
-    is_locked_cover_code,
     is_strongly_equivalent,
     layer,
-    merge_layers,
     neighbors,
-    normalize_twin_free_covers,
     replay,
     simplify_tiling,
     twin_pairs,
@@ -335,38 +331,6 @@ class TestExtraction:
             extract_word(second, first[0], Alphabet(2))
 
 
-class TestNormalization:
-    def test_already_normalized(self):
-        from polybox.search import cover_word
-
-        simple = make_code([W("bbbbb")])
-        cover = cover_word(W("bbbbb"), 5, Alphabet(2))[0]  # twin-pair free
-        assert normalize_twin_free_covers(cover, simple, Alphabet(2)) == cover
-
-    def test_offending_cover_gets_rewritten(self):
-        simple = make_code([W("bbbbb")])
-        cover = small_covers()[0]  # contains twin pairs meeting bbbbb
-        result = normalize_twin_free_covers(cover, simple, Alphabet(3))
-        assert is_covered(W("bbbbb"), result)
-        assert not twin_pairs(minimal_cover_within(W("bbbbb"), result))
-
-    def test_postcondition_over_a_two_word_target(self):
-        alphabet = Alphabet(3)
-        simple = make_code([W("bb"), W("b'b")])
-        cover = make_code([W("ab"), W("a'b"), W("cb'"), W("c'b'")])
-        result = normalize_twin_free_covers(cover, simple, alphabet)
-        for p in simple:
-            assert not twin_pairs(minimal_cover_within(p, result))
-
-    def test_requires_simple_target(self):
-        with pytest.raises(ValueError, match="simple"):
-            normalize_twin_free_covers(
-                make_code([W("ab"), W("a'c")]),
-                make_code([W("ab"), W("a'c")]),
-                Alphabet(3),
-            )
-
-
 class TestLayers:
     def test_layer_extraction(self):
         _, second = example_pair()  # {cc, c'c, bc', b'c'}
@@ -375,13 +339,13 @@ class TestLayers:
 
     def test_merge_layers(self):
         code = make_code([W("cc"), W("c'c"), W("bc'"), W("b'c'")])
-        merged = merge_layers(code, 0, 4, 2)
+        merged = replay(code, _merge_layer_moves(code, 0, 4, 2))
         assert merged == make_code([W("bc"), W("b'c"), W("bc'"), W("b'c'")])
 
     def test_merge_requires_equal_layers(self):
         first, _ = example_pair()  # {aa, aa', a'b, a'b'}
         with pytest.raises(ValueError, match="equal"):
-            merge_layers(first, 0, 0, 4)
+            _merge_layer_moves(first, 0, 0, 4)
 
     def test_one_dimensional_tiling_is_simple(self):
         code = make_code([W("b"), W("b'")])
@@ -467,7 +431,7 @@ class TestNonPositiveBudgets:
         with pytest.raises(ValueError, match="budget must be positive"):
             is_locked_cover(first[0], first, Alphabet(2), state_budget=budget)
         with pytest.raises(ValueError, match="budget must be positive"):
-            is_locked_cover_code(first, second, Alphabet(2), state_budget=budget)
+            is_locked_cover(first[0], second, Alphabet(2), state_budget=budget)
 
     def test_extract_word(self, budget):
         for cover in small_covers()[3], make_code([W("bbbbb")]):
@@ -641,17 +605,17 @@ class TestAgainstSlowTwins:
 
     def test_lock_verdicts(self):
         first, second = special_pair()
-        cases = [(Alphabet(2), (p,), second) for p in first]
-        cases += [(Alphabet(3), (W("bbbbb"),), cover) for cover in small_covers()]
+        cases = [(Alphabet(2), p, second) for p in first]
+        cases += [(Alphabet(3), W("bbbbb"), cover) for cover in small_covers()]
         rng = Random(3)
         for _ in range(6):
             alphabet = Alphabet(rng.choice((2, 3)))
             code = random_tiling_code(alphabet, 3, rng)
-            cases.append((alphabet, (code[0],), code))
+            cases.append((alphabet, code[0], code))
         verdicts = set()
-        for alphabet, inner, code in cases:
+        for alphabet, word, code in cases:
             for threshold, budget in ((5, DEFAULT_STATE_BUDGET), (2, DEFAULT_STATE_BUDGET), (1, 20)):
-                verdict = is_locked_cover_code(inner, code, alphabet, threshold, budget)
-                assert verdict == slow_is_locked_cover_code(inner, code, alphabet, threshold, budget)
+                verdict = is_locked_cover(word, code, alphabet, threshold, budget)
+                assert verdict == slow_is_locked_cover_code((word,), code, alphabet, threshold, budget)
                 verdicts.add(verdict)
         assert verdicts == set(Verdict)

@@ -110,3 +110,8 @@ class TestTraces:
     def test_mismatched_replacement_rejected(self):
         with pytest.raises(ParseError):
             parse_trace("2: aa aa' -> ac bc'\n")
+
+    def test_words_of_unequal_length_rejected(self):
+        for text in "2: aa aa' -> b b'\n", "1: a a' -> ab a'b\n", "1: aa a' -> ba b'a\n":
+            with pytest.raises(ParseError, match="line 1: words of a move differ in length"):
+                parse_trace(text)

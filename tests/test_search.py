@@ -1,5 +1,5 @@
 """Enumeration and reconstruction: weight compositions, cover families,
-the deficiency bound, joins, anchored search and second-code rebuilding."""
+the deficiency bound, joins and second-code rebuilding."""
 
 import itertools
 import tracemalloc
@@ -32,9 +32,7 @@ from polybox.search import (
     cover_bound,
     cover_code,
     cover_word,
-    covers_containing,
     enumerate_minimal_covers,
-    extensions,
     find_second_codes,
     standard_seeds,
     weight_compositions,
@@ -246,51 +244,6 @@ class TestCoverCode:
             cover_code((W("bb"),), 4, {})
 
 
-class TestCoversContaining:
-    def test_anchor_already_covering(self):
-        first, second = special_pair()
-        res = covers_containing(first, second, 3, Alphabet(2))
-        assert res.covers == (second,)
-
-    def test_tiny_instance_equals_brute_force(self):
-        alphabet = Alphabet(2)
-        target = make_code([W("bb")])
-        anchor = make_code([W("ab")])
-        pool = sorted(itertools.product(range(4), repeat=2))
-        for slots in (1, 2, 3):
-            res = covers_containing(
-                target, anchor, slots, alphabet, final_density_min=1
-            )
-            brute = set()
-            usable = [
-                q
-                for q in pool
-                if q not in anchor
-                and overlap_weight(q, W("bb")) > 0
-                and is_dichotomous(q, W("ab"))
-            ]
-            for combo in itertools.combinations(usable, slots):
-                cand = tuple(sorted(anchor + combo))
-                if is_polybox_code(cand) and is_covered(W("bb"), cand):
-                    brute.add(cand)
-            assert set(res.covers) == brute
-
-    def test_reduced_scale_partner_reconstruction(self):
-        first, second = special_pair()
-        anchor = second[:-2]
-        res = covers_containing(
-            first, anchor, 2, Alphabet(2), final_density_min=4, lock_budget=20000
-        )
-        assert second in res.covers
-        assert res.undecided_lock_tests == 0
-
-    def test_anchor_words_must_meet_the_target(self):
-        with pytest.raises(ValueError, match="meet"):
-            covers_containing(
-                make_code([W("bb")]), make_code([W("b'a")]), 1, Alphabet(2)
-            )
-
-
 class TestFindSecondCodes:
     def test_rebuild_dropped_word(self):
         first, second = special_pair()
@@ -317,40 +270,6 @@ class TestFindSecondCodes:
                 make_code([W("aa")]),
                 Alphabet(2),
             )
-
-
-class TestExtensions:
-    def test_zero_extension(self):
-        code = make_code([W("aa")])
-        assert extensions(code, 0, Alphabet(2)) == (code,)
-
-    def test_one_dimensional_forcing(self):
-        code = make_code([W("a")])
-        assert extensions(code, 1, Alphabet(2)) == (make_code([W("a"), W("a'")]),)
-
-    def test_counts_match_brute_force_d2(self):
-        alphabet = Alphabet(2)
-        code = make_code([W("aa")])
-        for count in (1, 2, 3):
-            out = extensions(code, count, alphabet)
-            pool = [
-                q
-                for q in itertools.product(range(4), repeat=2)
-                if q != W("aa") and is_dichotomous(q, W("aa"))
-            ]
-            brute = {
-                tuple(sorted(code + combo))
-                for combo in itertools.combinations(pool, count)
-                if is_polybox_code(code + combo)
-            }
-            assert set(out) == brute
-
-    def test_flat_constraint(self):
-        alphabet = Alphabet(2)
-        code = make_code([W("ab")])
-        out = extensions(code, 1, alphabet, flat_constraint=(1, 2))
-        assert all(added[1] == 2 for c in out for added in set(c) - set(code))
-        assert out == (make_code([W("ab"), W("a'b")]),)
 
 
 # slow twin: ``_grow`` as it was before the exact-cover phase, over counts
