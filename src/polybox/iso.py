@@ -162,10 +162,13 @@ class Group:
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
-        packed = self._pack(code)
+        return self._unpack(self._packed_orbit(self._pack(code)))
+
+    def _packed_orbit(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """All images of a packed code, packed."""
         if self.order is not None and self.order <= ELEMENT_WALK_MAX_ORDER:
-            return self._unpack(self._element_walk(packed))
-        return self._unpack(self._orbit_walk(packed))
+            return self._element_walk(code)
+        return self._orbit_walk(code)
 
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
@@ -186,7 +189,7 @@ class Group:
             raise ValueError("dimension mismatch")
         return pack_code(code, self.alphabet)
 
-    def _unpack(self, images: set[tuple[int, ...]]) -> frozenset[Code]:
+    def _unpack(self, images: Iterable[tuple[int, ...]]) -> frozenset[Code]:
         if self._words is None:
             self._words = word_table(self.alphabet, self.dim)
         words = self._words
@@ -400,16 +403,22 @@ def canonical_form(code: Code, group: Group) -> Code:
 
 
 def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
-    """One canonical representative per orbit met by the family."""
-    seen: set[Code] = set()
-    out = []
-    for code in sorted(set(family)):
-        if code in seen:
+    """One canonical representative per orbit met by the family.
+
+    The family is packed once and each orbit is walked packed; packing
+    keeps lex order, so the packed orbit minimum is the canonical form, and
+    only the representatives are unpacked.  Only the family's codes not yet
+    met are kept, not the orbits walked: an orbit can hold many codes
+    outside the family, and keeping them all set the memory peak."""
+    pending = {group._pack(code) for code in family}
+    minima = []
+    for packed in sorted(pending):
+        if packed not in pending:
             continue
-        orbit = group.orbit(code)
-        seen.update(orbit)
-        out.append(min(orbit))
-    return tuple(sorted(out))
+        orbit = group._packed_orbit(packed)
+        pending -= orbit
+        minima.append(min(orbit))
+    return tuple(sorted(group._unpack(minima)))
 
 
 def greedy_relabel(code: Code) -> Code:

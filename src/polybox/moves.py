@@ -327,7 +327,16 @@ def is_locked_cover(
     """YES when no flip sequence on the covering code can ever bring the
     covered word close: every reachable state keeps at least ``threshold``
     words meeting it.  A state below the threshold admits extraction of the
-    word, so the answer is NO there."""
+    word, so the answer is NO there.
+
+    A covered word meets at least one word of every state, so thresholds
+    below 2 are refused: no state could fall below them, and the answer
+    would be YES after walking the whole closure."""
+    if threshold < 2:
+        raise ValueError(
+            f"lock threshold {threshold} is below 2: every state keeps a word "
+            "meeting the covered word"
+        )
     if not is_covered(word, code):
         raise ValueError("lock test requires a covering code")
 

@@ -16,12 +16,18 @@ The workhorses:
   filled as an exact cover, branching on the lowest uncovered cell (Knuth,
   "Dancing links", arXiv cs/0011047), which cuts off the branches that
   leave some cell with no word to cover it.
-* ``enumerate_minimal_covers`` is a direct depth-first enumeration of
-  minimal covers with no seeding assumptions; it doubles as an
-  independent cross-check for ``cover_word`` and handles covers that are
-  allowed to contain twin pairs.
-* ``cover_code`` joins per-word cover families into covers of a code,
-  ``cover_bound`` is the deficiency bound on a partial cover, and
+* ``enumerate_minimal_covers`` enumerates minimal covers with no seeding
+  assumptions; it doubles as an independent cross-check for
+  ``cover_word`` and handles covers that are allowed to contain twin
+  pairs.  It uses the symmetry of ``b...b`` instead: the isomorphisms
+  fixing it act transitively on the pool words of each level, so per
+  weight composition it grows only the covers through one word of the
+  top level and maps them onto the others (McKay, "Isomorph-free
+  exhaustive generation", J. Algorithms 26, 1998, for the orbit
+  bookkeeping), keeping each image once.
+* ``cover_code`` joins per-word cover families into covers of a code over
+  word bitmasks, ``cover_bound`` is the deficiency bound on a partial
+  cover, and
   ``find_second_codes`` rebuilds the partner of a partially known
   equivalent code from its binary codes.
 """
@@ -30,8 +36,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .alphabet import Alphabet
@@ -45,8 +53,10 @@ from .core import (
     code_covered,
     cover_weight,
     density,
+    format_plain,
     is_covered,
     is_dichotomous,
+    is_proper,
     make_code,
 )
 
@@ -374,6 +384,45 @@ def _grow(
         pick(0, allowed & masks[level], allowed, count, uncovered, base)
 
 
+def _top_transversal(
+    pair_count: int, dim: int, level: int
+) -> list[tuple[Word, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Per pool word ``w`` of the level, in index order, ``(w, source,
+    maps)``: an isomorphism fixing ``b...b`` that sends the level's lowest
+    word ``w0 = a...ab...b`` to ``w``, acting as ``out[p] =
+    maps[p][word[source[p]]]``.
+
+    Such isomorphisms permute positions and map letters per position,
+    respecting complements and fixing ``b``; they carry pool words of a
+    level onto pool words of that level, transitively.  ``source`` sends
+    the ``a``-s of ``w0`` to the positions of ``w`` without ``b``, in order,
+    and its ``b``-s to those with ``b``.  At a position without ``b`` the
+    map swaps the pair of ``a`` with the pair of the letter ``t`` there, so
+    that ``a`` goes to ``t``; elsewhere it is the identity."""
+    identity = tuple(range(2 * pair_count))
+    maps_to = {}
+    for t in identity:
+        if t >> 1 != ANCHOR_LETTER >> 1:
+            m = list(identity)
+            m[t & ~1], m[t | 1] = m[0], m[1]
+            m[0], m[1] = t, t ^ 1
+            maps_to[t] = tuple(m)
+    out = []
+    for fixed in itertools.combinations(range(dim), level):
+        spread = [p for p in range(dim) if p not in fixed]
+        source = [0] * dim
+        for j, p in enumerate(spread + list(fixed)):
+            source[p] = j
+        w = [ANCHOR_LETTER] * dim
+        maps = [identity] * dim
+        for letters in itertools.product(maps_to, repeat=dim - level):
+            for p, t in zip(spread, letters):
+                w[p], maps[p] = t, maps_to[t]
+            out.append((tuple(w), tuple(source), tuple(maps)))
+    out.sort()
+    return out
+
+
 def enumerate_minimal_covers(
     u: Word,
     size: int,
@@ -381,12 +430,25 @@ def enumerate_minimal_covers(
     twin_free: bool = False,
     keep=None,
 ) -> tuple[Code, ...]:
-    """Every minimal cover of ``u = b...b`` with exactly ``size`` words,
-    by direct depth-first search with weight pruning; no seeding and no
-    structural assumptions.  A ``keep`` predicate filters covers as they
-    stream out, keeping memory flat for large families.  It sees them in
-    search order, not in the sorted order returned, so it must be a pure
-    predicate of the cover."""
+    """Every minimal cover of ``u = b...b`` with exactly ``size`` words;
+    no seeding and no structural assumptions.
+
+    The isomorphisms fixing ``b...b`` carry every pool word of a level onto
+    every other (``_top_transversal``).  So per weight composition, with
+    top level ``L``, only the covers through the lowest level-``L`` word
+    ``w0`` are searched.  Each is mapped onto every level-``L`` word ``w``
+    by the transversal's element for ``w``, and the image is kept when
+    ``w`` is its lowest level-``L`` word, which is checked on the images
+    of its level-``L`` words before the rest are mapped.  Every cover comes
+    out exactly once: as the image of the one cover through ``w0`` that
+    the element of its lowest level-``L`` word carries onto it.
+
+    Images are taken over ranks: a pool word's rank is its mixed-radix
+    number over the letters but ``b'``, in lex order, and an element adds
+    up one table entry per position.  A ``keep`` predicate filters covers
+    as they stream out, keeping memory flat for large families.  It sees
+    them in search order, not in the sorted order returned, so it must be
+    a pure predicate of the cover."""
     dim = len(u)
     if any(s != ANCHOR_LETTER for s in u):
         raise ValueError("cover enumeration is anchored at the constant word b...b")
@@ -395,31 +457,76 @@ def enumerate_minimal_covers(
     if size < 2:
         raise ValueError("direct enumeration expects at least two words")
     pool = _cover_pool(alphabet.pair_count, dim)
-    full = (1 << len(pool.words)) - 1
+    words = pool.words
+    compat = pool.twin_free if twin_free else pool.dichotomous
+    radix = alphabet.size - 1
+    # the digit of a letter in a rank: b' is never a pool letter
+    digit = [s - (s > ANCHOR_LETTER) for s in alphabet.letters()]
+    # the words by rank; b...b has a rank but is no pool word
+    gap = bisect_left(words, u)
+    by_rank = words[:gap] + (u,) + words[gap:]
+    # what a letter adds to a rank, per position and letter map
+    places: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     out: list[Code] = []
 
-    def collect(ids: frozenset[int]) -> None:
-        code = tuple(sorted(pool.words[i] for i in ids))
-        if keep is None or keep(code):
-            out.append(code)
+    def rank_table(source: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
+        """What letter ``s`` at source position ``j`` adds to the rank of
+        the image, at ``j * alphabet.size + s``; then a zero."""
+        rows: list = [None] * dim
+        for p, (j, m) in enumerate(zip(source, maps)):
+            row = places.get((p, m))
+            if row is None:
+                unit = radix ** (dim - 1 - p)
+                row = places[p, m] = [digit[t] * unit for t in m]
+            rows[j] = row
+        return [*itertools.chain.from_iterable(rows), 0]
+
+    def entries(v: Word):
+        """The entries of a rank table that make up the rank of ``v``'s
+        image; the zero as well, so that even at d=1 they come as a tuple."""
+        width = alphabet.size
+        return itemgetter(*[j * width + s for j, s in enumerate(v)], dim * width)
 
     for x in weight_compositions(dim, size):
+        top = max(level for level in range(dim) if x[level])
         level_seq = tuple(
-            level for level in range(dim) for _ in range(x[level])
+            level for level in range(dim) for _ in range(x[level] - (level == top))
         )
-        _grow((), full, level_seq, pool, collect, twin_free=twin_free)
+        w0 = bisect_left(words, (0,) * (dim - top) + (ANCHOR_LETTER,) * top)
+        # filled at the first cover through w0: the dead profiles need neither
+        elements: list[tuple[int, list[int]]] = []
+        top_ids: set[int] = set()
+        verdicts: dict[frozenset[int], list] = {}
+
+        def collect(ids: frozenset[int]) -> None:
+            if not elements:
+                w0_entries = entries(words[w0])
+                for _, source, maps in _top_transversal(alphabet.pair_count, dim, top):
+                    table = rank_table(source, maps)
+                    rank = sum(w0_entries(table))
+                    elements.append((rank, table))
+                    top_ids.add(rank - (rank > gap))
+            key = ids & top_ids
+            chosen = verdicts.get(key)
+            if chosen is None:
+                # the elements under which w0's image stays the lowest top word
+                chosen = elements
+                for image in [entries(words[i]) for i in key if i != w0]:
+                    chosen = [(rank, table) for rank, table in chosen if sum(image(table)) > rank]
+                verdicts[key] = chosen
+            images = [entries(words[i]) for i in ids if i != w0]
+            for rank, table in chosen:
+                ranks = [rank, *[sum(image(table)) for image in images]]
+                ranks.sort()
+                code = tuple([by_rank[r] for r in ranks])
+                if keep is None or keep(code):
+                    out.append(code)
+
+        _grow((w0,), compat[w0], level_seq, pool, collect, twin_free=twin_free)
     return tuple(sorted(out))
 
 
 # covers of codes ----------------------------------------------------------
-
-def _cross_code(left: frozenset[Word], right: frozenset[Word]) -> bool:
-    for v in left - right:
-        for w in right - left:
-            if not is_dichotomous(v, w):
-                return False
-    return True
-
 
 def cover_code(
     code: Code,
@@ -427,38 +534,65 @@ def cover_code(
     families: Mapping[Word, Iterable[Code]],
 ) -> tuple[Code, ...]:
     """All covers of the code (of at most ``max_size`` words) obtained by
-    joining one cover per word; overlapping joins are looked up through a
-    shared-word index when the size cap forces an overlap."""
+    joining one cover per word.
+
+    The families' words are indexed once, and each cover becomes a sorted
+    tuple of word indices.  A partial cover ``P`` joins a cover ``D`` when
+    the union stays within ``max_size``, so when they share at least
+    ``|P| + |D| - max_size`` words; when that least overlap is positive
+    for every pair, the candidates are found by counting, per cover of the
+    family, the words it shares with ``P`` through an index from word to
+    covers.  The words ``D`` adds must then be dichotomous with all of
+    ``P`` (those it shares are its own words already): one
+    ``_dichotomy_row`` per word of ``P``, ANDed."""
     words = sorted(code)
     if not words:
         raise ValueError("cannot cover an empty code")
     for u in words:
         if u not in families or not families[u]:
             raise ValueError("every word needs a non-empty cover family")
-    current = {frozenset(c) for c in families[words[0]] if len(c) <= max_size}
-    for u in words[1:]:
-        fam = sorted({frozenset(c) for c in families[u]}, key=sorted)
-        fam = [d for d in fam if len(d) <= max_size]
-        min_len = min((len(d) for d in fam), default=0)
-        by_word: dict[Word, list[int]] = {}
-        for pos, d in enumerate(fam):
-            for w in d:
-                by_word.setdefault(w, []).append(pos)
-        new: set[frozenset[Word]] = set()
+    fams = [[c for c in families[u] if len(c) <= max_size] for u in words]
+    universe = sorted({w for fam in fams for c in fam for w in c})
+    if len({len(w) for w in universe}) > 1:
+        raise ValueError("the cover families mix dimensions")
+    for w in universe:
+        if not is_proper(w):
+            raise ValueError(f"proper word required: {format_plain(w)}")
+    index = {w: i for i, w in enumerate(universe)}
+    masks = _letter_masks(universe)
+    rows = [_dichotomy_row(masks, w) for w in universe]
+
+    def members(fam: list[Code]) -> list[tuple[int, ...]]:
+        return sorted({tuple(sorted(index[w] for w in c)) for c in fam})
+
+    current = members(fams[0])
+    for fam in map(members, fams[1:]):
+        # the least overlap any union within max_size needs
+        least = min(map(len, current), default=0) + min(map(len, fam), default=0) - max_size
+        containing: dict[int, list[int]] = {}
+        for m, ids in enumerate(fam):
+            for i in ids:
+                containing.setdefault(i, []).append(m)
+        new: set[tuple[int, ...]] = set()
         for partial in current:
-            if len(partial) + min_len > max_size:
-                seen_ids: set[int] = set()
-                for w in partial:
-                    seen_ids.update(by_word.get(w, ()))
-                candidates = [fam[i] for i in sorted(seen_ids)]
+            room = max_size - len(partial)
+            if least > 0:
+                shared = Counter(itertools.chain.from_iterable(
+                    [containing.get(i, ()) for i in partial]
+                ))
+                candidates = [m for m, n in shared.items() if len(fam[m]) - n <= room]
             else:
-                candidates = fam
-            for d in candidates:
-                union = partial | d
-                if len(union) <= max_size and _cross_code(partial, d):
-                    new.add(union)
-        current = new
-    return tuple(sorted(tuple(sorted(c)) for c in current))
+                candidates = range(len(fam))
+            have = set(partial)
+            joinable = -1
+            for i in partial:
+                joinable &= rows[i]
+            for m in candidates:
+                extra = [i for i in fam[m] if i not in have]
+                if len(extra) <= room and all(joinable >> i & 1 for i in extra):
+                    new.add(tuple(sorted(have.union(extra))))
+        current = sorted(new)
+    return tuple(tuple(universe[i] for i in ids) for ids in current)
 
 
 # deficiency bound ---------------------------------------------------------

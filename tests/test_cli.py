@@ -131,6 +131,15 @@ class TestDotCover:
     def test_uncovered_word_is_an_error(self, files):
         assert run("dot-cover", str(files["special_w"]), "--word", "aaaa") == 2
 
+    def test_threshold_below_two_exits_2(self, tmp_path, capsys):
+        one = tmp_path / "one.pbx"
+        one.write_text("aa\n")
+        for threshold in ("1", "0"):
+            assert run("dot-cover", str(one), "--word", "aa", "--threshold", threshold) == 2
+            captured = capsys.readouterr()
+            assert f"lock threshold {threshold} is below 2" in captured.err
+            assert "locked cover" not in captured.out
+
 
 class TestClosure:
     def test_exhausted(self, files, capsys):

@@ -331,6 +331,32 @@ class TestWalks:
         assert dedup_orbits(family, stab) == expected
         assert dedup_orbits(family, unordered) == expected
 
+    def test_dedup_unpacks_only_the_representatives(self, monkeypatch):
+        stab, unordered = _census_groups()
+        family = _cover_family(7)
+        expected = dedup_orbits(family, stab)
+        unpacked = []
+        unpack = Group._unpack
+
+        def counting(self, images):
+            images = list(images)
+            unpacked.append(len(images))
+            return unpack(self, images)
+
+        monkeypatch.setattr(Group, "_unpack", counting)
+        monkeypatch.setattr(Group, "orbit", None)  # dedup never calls it
+        for group in (stab, unordered):
+            unpacked.clear()
+            assert dedup_orbits(family, group) == expected
+            assert unpacked == [len(expected)] == [3]
+
+    def test_dedup_of_a_family_that_is_no_union_of_orbits(self):
+        stab, unordered = _census_groups()
+        part = sorted(set(_cover_family(7)))[::7]
+        expected = tuple(sorted({canonical_form(c, stab) for c in part}))
+        for group in (stab, unordered):
+            assert dedup_orbits(part + part[:3], group) == expected
+
     def test_tables_hold_only_the_words_met(self):
         group = word_stabilizer((B,) * 8, Alphabet(3))  # 6**8 words
         code = make_code([(B,) * 8])

@@ -300,6 +300,13 @@ class TestLockedCover:
         with pytest.raises(ValueError):
             is_locked_cover(W("bbbbb"), (W("aabbb"),), Alphabet(2))
 
+    def test_thresholds_below_two_are_refused(self):
+        # a covered word meets a word of every state: nothing falls below 1
+        first, _ = special_pair()
+        for threshold in (1, 0, -3):
+            with pytest.raises(ValueError, match="below 2"):
+                is_locked_cover(first[0], first, Alphabet(2), threshold)
+
 
 class TestExtraction:
     def test_all_bundled_covers(self):
@@ -614,7 +621,7 @@ class TestAgainstSlowTwins:
             cases.append((alphabet, code[0], code))
         verdicts = set()
         for alphabet, word, code in cases:
-            for threshold, budget in ((5, DEFAULT_STATE_BUDGET), (2, DEFAULT_STATE_BUDGET), (1, 20)):
+            for threshold, budget in ((5, DEFAULT_STATE_BUDGET), (2, DEFAULT_STATE_BUDGET), (2, 1)):
                 verdict = is_locked_cover(word, code, alphabet, threshold, budget)
                 assert verdict == slow_is_locked_cover_code((word,), code, alphabet, threshold, budget)
                 verdicts.add(verdict)

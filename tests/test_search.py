@@ -29,6 +29,7 @@ from polybox.search import (
     PruneContext,
     _cover_pool,
     _grow,
+    _top_transversal,
     cover_bound,
     cover_code,
     cover_word,
@@ -170,6 +171,63 @@ class TestEnumerateMinimalCovers:
         assert set(filtered) == {c for c in everything if c[0][0] == 0}
 
 
+class TestTopTransversal:
+    @pytest.mark.parametrize("pairs, dim", [(2, 5), (3, 4), (3, 5)])
+    def test_elements_fix_the_anchor_and_reach_every_top_word(self, pairs, dim):
+        pool = _cover_pool(pairs, dim)
+        pool_words = set(pool.words)
+        pool_letters = {s for v in pool.words for s in v}
+        assert 3 not in pool_letters
+        anchor = (2,) * dim
+        for level in range(dim):
+            elements = _top_transversal(pairs, dim, level)
+            level_words = [w for w in pool.words if w.count(2) == level]
+            assert [w for w, _, _ in elements] == level_words
+            w0 = level_words[0]
+            assert w0 == (0,) * (dim - level) + (2,) * level
+            for n, (w, source, maps) in enumerate(elements):
+                assert sorted(source) == list(range(dim))
+                for m in maps:
+                    assert sorted(m) == list(range(2 * pairs))
+                    assert all(m[s ^ 1] == m[s] ^ 1 for s in range(2 * pairs))
+                    assert m[2] == 2
+                    # with b fixed, a permutation of the pool letters maps
+                    # pool words, b...b excluded, onto pool words
+                    assert {m[s] for s in pool_letters} == pool_letters
+                apply = lambda v: tuple(maps[p][v[source[p]]] for p in range(dim))
+                assert apply(w0) == w
+                assert apply(anchor) == anchor
+                if n % 97 == 0 or n == len(elements) - 1:
+                    assert {apply(v) for v in pool_words} == pool_words
+
+
+class TestEnumerateThroughTopWords:
+    @pytest.mark.parametrize(
+        "pairs, size, twin_free",
+        [(2, 7, True), (2, 8, True), (3, 4, False), (3, 6, True)],
+    )
+    def test_keep_sees_every_cover_once(self, pairs, size, twin_free):
+        seen = Counter()
+
+        def keep(code):
+            seen[code] += 1
+            return True
+
+        family = enumerate_minimal_covers(
+            V5, size, Alphabet(pairs), twin_free=twin_free, keep=keep
+        )
+        assert set(seen.values()) == {1}
+        assert tuple(sorted(seen)) == family
+
+    def test_covers_at_other_dimensions(self):
+        for dim in (1, 2, 3, 4):
+            alphabet = Alphabet(3 if dim < 4 else 2)
+            for size in range(2, 7):
+                direct = direct_covers(size, alphabet, False, dim)
+                got = enumerate_minimal_covers((2,) * dim, size, alphabet)
+                assert got == tuple(sorted(set().union(*direct.values()))), (dim, size)
+
+
 class TestCoverBound:
     def test_nothing_left_but_uncovered(self):
         ctx = PruneContext(partial=(), target=(W("bb"),), pool=(), slots=0)
@@ -243,6 +301,36 @@ class TestCoverCode:
         with pytest.raises(ValueError, match="family"):
             cover_code((W("bb"),), 4, {})
 
+    def test_words_are_checked_at_entry(self):
+        v, w = W("bb"), W("b'b")
+        with pytest.raises(ValueError, match="mix dimensions"):
+            cover_code((v, w), 4, {v: [(W("ab"), W("a'b"))], w: [(W("abb"),)]})
+        with pytest.raises(ValueError, match="proper word required"):
+            cover_code((v,), 4, {v: [(W("ab"), (1, -1))]})
+
+    @pytest.mark.parametrize("max_size", [3, 4, 5, 6, 8])
+    def test_matches_the_pairwise_join(self, max_size):
+        # covers of bbb and of two of its mirrors over three pairs; small caps
+        # need overlaps (the word index), large ones take every candidate
+        alphabet = Alphabet(3)
+        v = W("bbb")
+        family = [c for n in (2, 3, 4) for c in enumerate_minimal_covers(v, n, alphabet)]
+        families = {v: family}
+        for flipped in ((0,), (0, 1)):
+            word = tuple(s ^ 1 if i in flipped else s for i, s in enumerate(v))
+            families[word] = [
+                tuple(sorted(
+                    tuple(s ^ 1 if i in flipped and s >> 1 == 1 else s for i, s in enumerate(x))
+                    for x in c
+                ))
+                for c in Random(len(flipped)).sample(family, 60)
+            ]
+        code = tuple(sorted(families))
+        joint = cover_code(code, max_size, families)
+        assert joint == slow_cover_code(code, max_size, families)
+        for c in joint:
+            assert is_polybox_code(c) and code_covered(code, c) and len(c) <= max_size
+
 
 class TestFindSecondCodes:
     def test_rebuild_dropped_word(self):
@@ -270,6 +358,24 @@ class TestFindSecondCodes:
                 make_code([W("aa")]),
                 Alphabet(2),
             )
+
+
+# slow twin: ``cover_code`` as it was before the word bitmasks, joining
+# every pair of partial and family cover through pairwise checks ----------
+
+def slow_cover_code(code, max_size, families):
+    current = {frozenset(c) for c in families[code[0]] if len(c) <= max_size}
+    for u in code[1:]:
+        new = set()
+        for partial in current:
+            for d in map(frozenset, families[u]):
+                union = partial | d
+                if len(union) <= max_size and all(
+                    is_dichotomous(x, y) for x in partial - d for y in d - partial
+                ):
+                    new.add(union)
+        current = new
+    return tuple(sorted(tuple(sorted(c)) for c in current))
 
 
 # slow twin: ``_grow`` as it was before the exact-cover phase, over counts
@@ -354,28 +460,71 @@ def profile(level_seq: tuple[int, ...], dim: int = 5) -> tuple[int, ...]:
     return tuple(counts[level] for level in range(dim))
 
 
+def direct_covers(size: int, alphabet: Alphabet, twin_free: bool, dim: int = 5) -> dict:
+    """Slow twin of ``enumerate_minimal_covers``: the per-composition loop
+    it replaced, one unseeded ``_grow`` per level profile, with no
+    symmetry.  The covers of ``b...b`` found, per profile."""
+    pool = _cover_pool(alphabet.pair_count, dim)
+    full = (1 << len(pool.words)) - 1
+    out = {}
+    for x in weight_compositions(dim, size):
+        seq = tuple(level for level in range(dim) for _ in range(x[level]))
+        found = grown(_grow, (), full, seq, pool, twin_free)
+        out[x] = {tuple(sorted(pool.words[i] for i in ids)) for ids in found}
+    return out
+
+
+def through_lowest_top_word(calls, alphabet: Alphabet, size: int) -> dict:
+    """Checks one call per weight composition, each grown from the lowest
+    pool word of the composition's top level; the covers through that
+    word, per level profile."""
+    words = _cover_pool(alphabet.pair_count, 5).words
+    found = {}
+    for base, seq, n in calls:
+        (w0,) = base
+        level = words[w0].count(2)
+        assert level >= max(seq, default=0)
+        assert words[w0] == (0,) * (5 - level) + (2,) * level
+        found[profile(seq + (level,))] = n
+    assert len(calls) == len(found)
+    assert set(found) == set(weight_compositions(5, size))
+    return found
+
+
 class TestGrowAgainstSlowTwin:
     @pytest.mark.parametrize("size", range(5, 10))
     def test_direct_twin_free_two_pairs(self, twinned_grow, size):
-        family = enumerate_minimal_covers(V5, size, Alphabet(2), twin_free=True)
-        assert len(twinned_grow) == len(weight_compositions(5, size))
-        assert len(family) == sum(found for _, _, found in twinned_grow)
+        alphabet = Alphabet(2)
+        family = enumerate_minimal_covers(V5, size, alphabet, twin_free=True)
+        through_lowest_top_word(twinned_grow, alphabet, size)
+        direct = direct_covers(size, alphabet, twin_free=True)
+        assert family == tuple(sorted(set().union(*direct.values())))
 
     @pytest.mark.parametrize(
         "size, twin_free", [(2, False), (3, False), (4, False), (5, True), (6, True)]
     )
     def test_direct_three_pairs(self, twinned_grow, size, twin_free):
-        family = enumerate_minimal_covers(V5, size, Alphabet(3), twin_free=twin_free)
-        assert len(family) == sum(found for _, _, found in twinned_grow) > 0
+        alphabet = Alphabet(3)
+        family = enumerate_minimal_covers(V5, size, alphabet, twin_free=twin_free)
+        through_lowest_top_word(twinned_grow, alphabet, size)
+        direct = direct_covers(size, alphabet, twin_free)
+        assert family == tuple(sorted(set().union(*direct.values()))) != ()
 
     def test_every_profile_of_the_size_7_three_pair_family(self, twinned_grow):
-        family = enumerate_minimal_covers(V5, 7, Alphabet(3), twin_free=True)
-        found = {profile(seq): n for _, seq, n in twinned_grow}
-        assert set(found) == set(weight_compositions(5, 7))
-        assert sum(found.values()) == len(family) == 66560
+        alphabet = Alphabet(3)
+        family = enumerate_minimal_covers(V5, 7, alphabet, twin_free=True)
+        found = through_lowest_top_word(twinned_grow, alphabet, 7)
+        direct = direct_covers(7, alphabet, twin_free=True)
+        assert family == tuple(sorted(set().union(*direct.values())))
+        assert len(family) == sum(map(len, direct.values())) == 66560
         # profiles whose counts leave room but whose cells cannot be tiled
-        # twin-free: the exact-cover phase cuts these short
-        assert found[0, 0, 6, 1, 0] == found[0, 4, 2, 0, 1] == 0
+        # twin-free: the exact-cover phase cuts these short, and they are
+        # searched once, through one top-level word
+        for dead in ((0, 0, 6, 1, 0), (0, 4, 2, 0, 1)):
+            assert found[dead] == len(direct[dead]) == 0
+        # a live profile yields more covers than pass through its w0
+        assert all(found[x] <= len(direct[x]) for x in direct)
+        assert sum(found.values()) < len(family)
 
     @pytest.mark.parametrize("size", range(5, 10))
     def test_seeded_two_pairs(self, twinned_grow, size):
