@@ -375,9 +375,11 @@ def job_sabc_partial(long: bool) -> JobReport:
     v = (ANCHOR,) * 5
     w = tuple([ANCHOR ^ 1] * 3 + [ANCHOR] * 2)
 
-    def bridge_count(code: Code) -> int:
-        return sum(1 for q in code if overlap_weight(q, w) > 0)
-
+    # the words that meet the other anchor word, found once
+    bridges = {
+        q for q in itertools.product(alphabet.letters(), repeat=5)
+        if overlap_weight(q, w) > 0
+    }
     # a cover can only join into an 8-word union (partner covers have at
     # least 5 words) when at most 3 of its words fail to meet the other
     # anchor word; filtering up front keeps the families small
@@ -389,7 +391,7 @@ def job_sabc_partial(long: bool) -> JobReport:
                 size,
                 alphabet,
                 twin_free=True,
-                keep=lambda c: len(c) - bridge_count(c) <= 3,
+                keep=lambda c: len(c) - len(bridges.intersection(c)) <= 3,
             )
         )
     mirror = _mirror_to_second_word(alphabet)

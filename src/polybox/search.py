@@ -8,8 +8,11 @@ The workhorses:
   at an odd number of at least three of them), and cover words never carry
   the complement of ``b``, so each word contributes a power-of-two weight
   given by its count of ``b``-s.  The enumeration therefore runs over
-  weight compositions, seeds each with one of the standard pairs and grows
-  the cover in two phases.  Pairwise dichotomous words have disjoint boxes,
+  weight compositions and seeds each with one of the standard pairs.  Per
+  seed it runs one search, from the seed's lowest position-permuted
+  placement, and maps the covers found onto every other placement by the
+  position permutation between the two.  Each search grows the cover in
+  two phases.  Pairwise dichotomous words have disjoint boxes,
   so a cover is an exact tiling of the cells of the box of ``b...b``.
   Every level but the lightest is grown heaviest first over precomputed
   compatibility bitmasks with count checks; the lightest level is then
@@ -19,12 +22,13 @@ The workhorses:
 * ``enumerate_minimal_covers`` enumerates minimal covers with no seeding
   assumptions; it doubles as an independent cross-check for
   ``cover_word`` and handles covers that are allowed to contain twin
-  pairs.  It uses the symmetry of ``b...b`` instead: the isomorphisms
+  pairs.  It uses the whole symmetry of ``b...b``: the isomorphisms
   fixing it act transitively on the pool words of each level, so per
   weight composition it grows only the covers through one word of the
   top level and maps them onto the others (McKay, "Isomorph-free
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
-  bookkeeping), keeping each image once.
+  bookkeeping), keeping each image once.  Both searches map words over
+  ranks (``_Ranks``), one word at a time as covers meet it.
 * ``cover_code`` joins per-word cover families into covers of a code over
   word bitmasks, ``cover_bound`` is the deficiency bound on a partial
   cover, and
@@ -40,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .alphabet import Alphabet
 from .core import (
@@ -57,7 +61,6 @@ from .core import (
     is_covered,
     is_dichotomous,
     is_proper,
-    make_code,
 )
 
 ANCHOR_LETTER = 2  # the letter written ``b``
@@ -217,31 +220,107 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
     )
 
 
-def _seed_placements(seed: Code, embed_layouts: bool) -> tuple[Code, ...]:
-    """Position-permuted images of the seed, deduplicated."""
+class _Lazy(dict):
+    """A dict that fills each missing key with ``make(key)`` when it is
+    first looked up."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Ranks:
+    """Images of pool words under isomorphisms fixing ``b...b``, over ranks.
+
+    A word's rank is its mixed-radix number over the letters but ``b'``
+    (never a pool letter), in lex order, so pool word ``i`` has rank ``i``,
+    or ``i + 1`` from ``gap`` on: ``b...b`` has a rank but is no pool word.
+    An isomorphism acting as ``out[p] = maps[p][word[source[p]]]`` becomes
+    a rank table, and the rank of a word's image adds up one table entry
+    per position.  ``entries[i]`` picks out pool word ``i``'s entries, and
+    ``images`` maps pool indices; both are filled as words are first met."""
+
+    def __init__(self, words: tuple[Word, ...], pair_count: int, dim: int) -> None:
+        anchor = (ANCHOR_LETTER,) * dim
+        width = 2 * pair_count
+        self.dim, self.width = dim, width
+        self.gap = bisect_left(words, anchor)
+        self.by_rank = words[: self.gap] + (anchor,) + words[self.gap :]
+        self.digit = [s - (s > ANCHOR_LETTER) for s in range(width)]
+        # what a letter adds to a rank, per position and letter map
+        self.places: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        # the zero closing every table makes the entries a tuple even at d=1
+        self.entries = _Lazy(lambda i: itemgetter(
+            *[j * width + s for j, s in enumerate(words[i])], dim * width
+        ))
+
+    def table(self, source: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
+        """What letter ``s`` at source position ``j`` adds to the rank of the
+        image, at ``j * width + s``; then a zero."""
+        rows: list = [None] * self.dim
+        for p, (j, m) in enumerate(zip(source, maps)):
+            row = self.places.get((p, m))
+            if row is None:
+                unit = (self.width - 1) ** (self.dim - 1 - p)
+                row = self.places[p, m] = [self.digit[t] * unit for t in m]
+            rows[j] = row
+        return [*itertools.chain.from_iterable(rows), 0]
+
+    def images(self, table: list[int]) -> dict[int, int]:
+        """Pool index to the pool index of its image under ``table``."""
+        entries, gap = self.entries, self.gap
+
+        def image(i: int) -> int:
+            rank = sum(entries[i](table))
+            return rank - (rank > gap)
+
+        return _Lazy(image)
+
+
+def _seed_placements(seed: Code, embed_layouts: bool) -> tuple[tuple[Code, tuple[int, ...]], ...]:
+    """The seed's distinct position-permuted images, lowest first, each with
+    a position permutation ``source`` that carries the lowest onto it as
+    ``out[p] = word[source[p]]``; the seed alone without ``embed_layouts``."""
+    identity = tuple(range(len(seed[0])))
     if not embed_layouts:
-        return (seed,)
-    dim = len(seed[0])
-    out = {
-        tuple(sorted(tuple(w[p] for p in perm) for w in seed))
-        for perm in itertools.permutations(range(dim))
-    }
-    return tuple(sorted(out))
+        return ((seed, identity),)
+
+    def place(code: Code, source: tuple[int, ...]) -> Code:
+        return tuple(sorted(tuple(w[p] for p in source) for w in code))
+
+    first = min(place(seed, perm) for perm in itertools.permutations(identity))
+    out: dict[Code, tuple[int, ...]] = {}
+    for perm in itertools.permutations(identity):
+        out.setdefault(place(first, perm), perm)
+    return tuple(sorted(out.items()))
 
 
 def cover_word(
     u: Word,
     size: int,
     alphabet: Alphabet,
-    seeds: Sequence[Code] | None = None,
     embed_layouts: bool = True,
     resume: tuple[int, int] | None = None,
 ) -> tuple[Code, ...]:
     """All twin-pair-free minimal covers of ``u = b...b`` with ``size``
-    words that contain a (possibly position-permuted) seed pair.
+    words that contain a (possibly position-permuted) standard seed pair.
 
     Up to isomorphisms fixing ``u`` this is every cover of that size; the
     family is complete outright once expanded by the word stabilizer.
+
+    Per weight composition and seed, one search grows the covers through
+    the seed's lowest placement ``P_0``.  A position permutation fixes
+    ``u`` and keeps pool membership, levels, dichotomy and twins, so the
+    one that carries ``P_0`` onto another placement ``P_j`` carries the
+    covers through ``P_0`` one to one onto those through ``P_j``; each
+    cover found is mapped by every such permutation (``_Ranks``), and each
+    image is kept once.
 
     A ``resume`` cursor ``(composition_index, seed_index)`` skips all
     (composition, seed) units before it, so an interrupted long run can be
@@ -253,16 +332,29 @@ def cover_word(
         raise ValueError("need at least two letter pairs")
     if size < 2:
         raise ValueError("seeded covers have at least two words")
-    if seeds is None:
-        seeds = standard_seeds(dim)
-    seeds = [make_code(seed) for seed in seeds]
-    seed_levels = []
-    for seed in seeds:
-        (level,) = {sum(1 for s in w if s == ANCHOR_LETTER) for w in seed}
-        seed_levels.append(level)
+    seeds = standard_seeds(dim)
     pool = _cover_pool(alphabet.pair_count, dim)
-    index = {w: i for i, w in enumerate(pool.words)}
-    found: set[frozenset[int]] = set()
+    ranks = _Ranks(pool.words, alphabet.pair_count, dim)
+    identity = (tuple(alphabet.letters()),) * dim
+    found: set[tuple[int, ...]] = set()
+
+    def collector(images: list[dict[int, int]]):
+        def collect(cover: frozenset[int]) -> None:
+            found.add(tuple(sorted(cover)))
+            for image in images:
+                found.add(tuple(sorted(map(image.__getitem__, cover))))
+        return collect
+
+    # per seed: its level, the pool indices of P_0, and a collector that
+    # also keeps the images on the other placements
+    units = []
+    for seed in seeds:
+        (level,) = {w.count(ANCHOR_LETTER) for w in seed}
+        (lowest, _), *others = _seed_placements(seed, embed_layouts)
+        ids = tuple(bisect_left(pool.words, w) for w in lowest)
+        images = [ranks.images(ranks.table(source, identity)) for _, source in others]
+        units.append((level, ids, collector(images)))
+
     for ci, x in enumerate(weight_compositions(dim, size)):
         if resume is not None and ci < resume[0]:
             continue
@@ -270,26 +362,19 @@ def cover_word(
         first = support[0]
         # the lowest occupied level always holds an even number of words
         assert x[first] % 2 == 0, x
-        for si, (seed, level) in enumerate(zip(seeds, seed_levels)):
+        for si, (level, ids, collect) in enumerate(units):
             if resume is not None and ci == resume[0] and si < resume[1]:
                 continue
             if level != first:
                 continue
-            for placement in _seed_placements(seed, embed_layouts):
-                try:
-                    ids = [index[w] for w in placement]
-                except KeyError:
-                    continue
-                allowed = pool.twin_free[ids[0]] & pool.twin_free[ids[1]]
-                remaining: list[int] = []
-                for lvl in support:
-                    extra = x[lvl] - (2 if lvl == first else 0)
-                    remaining.extend([lvl] * extra)
-                _grow(
-                    tuple(ids), allowed, tuple(remaining), pool, found.add,
-                    twin_free=True,
-                )
-    return tuple(sorted(tuple(sorted(pool.words[i] for i in ids)) for ids in found))
+            allowed = pool.twin_free[ids[0]] & pool.twin_free[ids[1]]
+            remaining: list[int] = []
+            for lvl in support:
+                extra = x[lvl] - (2 if lvl == first else 0)
+                remaining.extend([lvl] * extra)
+            _grow(ids, allowed, tuple(remaining), pool, collect, twin_free=True)
+    word = pool.words.__getitem__
+    return tuple([tuple(map(word, ids)) for ids in sorted(found)])
 
 
 def _grow(
@@ -459,33 +544,9 @@ def enumerate_minimal_covers(
     pool = _cover_pool(alphabet.pair_count, dim)
     words = pool.words
     compat = pool.twin_free if twin_free else pool.dichotomous
-    radix = alphabet.size - 1
-    # the digit of a letter in a rank: b' is never a pool letter
-    digit = [s - (s > ANCHOR_LETTER) for s in alphabet.letters()]
-    # the words by rank; b...b has a rank but is no pool word
-    gap = bisect_left(words, u)
-    by_rank = words[:gap] + (u,) + words[gap:]
-    # what a letter adds to a rank, per position and letter map
-    places: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    ranks = _Ranks(words, alphabet.pair_count, dim)
+    entries, gap, by_rank = ranks.entries, ranks.gap, ranks.by_rank
     out: list[Code] = []
-
-    def rank_table(source: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
-        """What letter ``s`` at source position ``j`` adds to the rank of
-        the image, at ``j * alphabet.size + s``; then a zero."""
-        rows: list = [None] * dim
-        for p, (j, m) in enumerate(zip(source, maps)):
-            row = places.get((p, m))
-            if row is None:
-                unit = radix ** (dim - 1 - p)
-                row = places[p, m] = [digit[t] * unit for t in m]
-            rows[j] = row
-        return [*itertools.chain.from_iterable(rows), 0]
-
-    def entries(v: Word):
-        """The entries of a rank table that make up the rank of ``v``'s
-        image; the zero as well, so that even at d=1 they come as a tuple."""
-        width = alphabet.size
-        return itemgetter(*[j * width + s for j, s in enumerate(v)], dim * width)
 
     for x in weight_compositions(dim, size):
         top = max(level for level in range(dim) if x[level])
@@ -500,9 +561,9 @@ def enumerate_minimal_covers(
 
         def collect(ids: frozenset[int]) -> None:
             if not elements:
-                w0_entries = entries(words[w0])
+                w0_entries = entries[w0]
                 for _, source, maps in _top_transversal(alphabet.pair_count, dim, top):
-                    table = rank_table(source, maps)
+                    table = ranks.table(source, maps)
                     rank = sum(w0_entries(table))
                     elements.append((rank, table))
                     top_ids.add(rank - (rank > gap))
@@ -511,14 +572,14 @@ def enumerate_minimal_covers(
             if chosen is None:
                 # the elements under which w0's image stays the lowest top word
                 chosen = elements
-                for image in [entries(words[i]) for i in key if i != w0]:
+                for image in [entries[i] for i in key if i != w0]:
                     chosen = [(rank, table) for rank, table in chosen if sum(image(table)) > rank]
                 verdicts[key] = chosen
-            images = [entries(words[i]) for i in ids if i != w0]
+            images = [entries[i] for i in ids if i != w0]
             for rank, table in chosen:
-                ranks = [rank, *[sum(image(table)) for image in images]]
-                ranks.sort()
-                code = tuple([by_rank[r] for r in ranks])
+                code_ranks = [rank, *[sum(image(table)) for image in images]]
+                code_ranks.sort()
+                code = tuple([by_rank[r] for r in code_ranks])
                 if keep is None or keep(code):
                     out.append(code)
 

@@ -169,6 +169,17 @@ class TestCovers:
         assert run("covers", "--word", "bbbbb", "--size", "7", "--pairs", "2") == 0
         assert "classes: 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cursor", ["x", "3", "1,x", "1,2,3"])
+    def test_malformed_resume_cursor_exit_2(self, capsys, cursor):
+        argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2"]
+        assert run(*argv, "--resume", cursor) == 2
+        assert "--resume expects COMPOSITION,SEED" in capsys.readouterr().err
+
+    def test_resumed_run_counts_the_rest(self, capsys):
+        argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2"]
+        assert run(*argv, "--resume", "99,0") == 0
+        assert "raw covers: 0" in capsys.readouterr().out
+
     def test_oversized_pool_refused(self, capsys):
         # 5**7 - 1 words: two tables of 78,124-bit rows, about 1.5 GB; with
         # twin pairs allowed no seeds are needed, so the pool is reached
