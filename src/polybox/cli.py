@@ -196,11 +196,17 @@ def cmd_covers(args) -> int:
     alphabet = Alphabet(args.pairs)
     resume = None
     if args.resume:
+        if args.twin_pairs:
+            print("--resume applies to the seeded enumeration, not --twin-pairs",
+                  file=sys.stderr)
+            return EXIT_ERROR
         try:
-            ci, si = (int(part) for part in args.resume.split(","))
-            resume = (ci, si)
+            resume = tuple(int(part) for part in args.resume.split(","))
         except ValueError:
-            print("--resume expects COMPOSITION,SEED", file=sys.stderr)
+            resume = ()
+        if len(resume) != 2 or min(resume) < 0:
+            print("--resume expects COMPOSITION,SEED, two non-negative integers",
+                  file=sys.stderr)
             return EXIT_ERROR
     if args.twin_pairs:
         family = enumerate_minimal_covers(word, args.size, alphabet)
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twin-pairs", action="store_true",
                    help="allow twin pairs (direct enumeration)")
     p.add_argument("--resume", metavar="COMPOSITION,SEED",
-                   help="resume cursor for interrupted long enumerations")
+                   help="resume cursor for interrupted long seeded enumerations")
     p.add_argument("--out", help="write class representatives here")
     p.set_defaults(fn=cmd_covers)
 

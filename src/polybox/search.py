@@ -8,12 +8,12 @@ The workhorses:
   at an odd number of at least three of them), and cover words never carry
   the complement of ``b``, so each word contributes a power-of-two weight
   given by its count of ``b``-s.  The enumeration therefore runs over
-  weight compositions and seeds each with one of the standard pairs.  Per
-  seed it runs one search, from the seed's lowest position-permuted
-  placement, and maps the covers found onto every other placement by the
-  position permutation between the two.  Each search grows the cover in
-  two phases.  Pairwise dichotomous words have disjoint boxes,
-  so a cover is an exact tiling of the cells of the box of ``b...b``.
+  weight compositions and seeds each with one of the standard pairs, as
+  given: a position permutation fixes ``b...b``, so covers through a
+  permuted seed are images of covers through the seed itself and add no
+  class.  Each search grows the cover in two phases.  Pairwise
+  dichotomous words have disjoint boxes, so a cover is an exact tiling of
+  the cells of the box of ``b...b``.
   Every level but the lightest is grown heaviest first over precomputed
   compatibility bitmasks with count checks; the lightest level is then
   filled as an exact cover, branching on the lowest uncovered cell (Knuth,
@@ -27,8 +27,8 @@ The workhorses:
   weight composition it grows only the covers through one word of the
   top level and maps them onto the others (McKay, "Isomorph-free
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
-  bookkeeping), keeping each image once.  Both searches map words over
-  ranks (``_Ranks``), one word at a time as covers meet it.
+  bookkeeping), keeping each image once.  It maps words over ranks
+  (``_Ranks``), one word at a time as covers meet it.
 * ``cover_code`` joins per-word cover families into covers of a code over
   word bitmasks, ``cover_bound`` is the deficiency bound on a partial
   cover, and
@@ -243,8 +243,8 @@ class _Ranks:
     or ``i + 1`` from ``gap`` on: ``b...b`` has a rank but is no pool word.
     An isomorphism acting as ``out[p] = maps[p][word[source[p]]]`` becomes
     a rank table, and the rank of a word's image adds up one table entry
-    per position.  ``entries[i]`` picks out pool word ``i``'s entries, and
-    ``images`` maps pool indices; both are filled as words are first met."""
+    per position.  ``entries[i]`` picks out pool word ``i``'s entries; it is
+    filled as words are first met."""
 
     def __init__(self, words: tuple[Word, ...], pair_count: int, dim: int) -> None:
         anchor = (ANCHOR_LETTER,) * dim
@@ -272,55 +272,24 @@ class _Ranks:
             rows[j] = row
         return [*itertools.chain.from_iterable(rows), 0]
 
-    def images(self, table: list[int]) -> dict[int, int]:
-        """Pool index to the pool index of its image under ``table``."""
-        entries, gap = self.entries, self.gap
-
-        def image(i: int) -> int:
-            rank = sum(entries[i](table))
-            return rank - (rank > gap)
-
-        return _Lazy(image)
-
-
-def _seed_placements(seed: Code, embed_layouts: bool) -> tuple[tuple[Code, tuple[int, ...]], ...]:
-    """The seed's distinct position-permuted images, lowest first, each with
-    a position permutation ``source`` that carries the lowest onto it as
-    ``out[p] = word[source[p]]``; the seed alone without ``embed_layouts``."""
-    identity = tuple(range(len(seed[0])))
-    if not embed_layouts:
-        return ((seed, identity),)
-
-    def place(code: Code, source: tuple[int, ...]) -> Code:
-        return tuple(sorted(tuple(w[p] for p in source) for w in code))
-
-    first = min(place(seed, perm) for perm in itertools.permutations(identity))
-    out: dict[Code, tuple[int, ...]] = {}
-    for perm in itertools.permutations(identity):
-        out.setdefault(place(first, perm), perm)
-    return tuple(sorted(out.items()))
-
 
 def cover_word(
     u: Word,
     size: int,
     alphabet: Alphabet,
-    embed_layouts: bool = True,
     resume: tuple[int, int] | None = None,
 ) -> tuple[Code, ...]:
     """All twin-pair-free minimal covers of ``u = b...b`` with ``size``
-    words that contain a (possibly position-permuted) standard seed pair.
+    words that hold a standard seed pair, as ``standard_seeds`` gives it, on
+    their lowest occupied level.
 
     Up to isomorphisms fixing ``u`` this is every cover of that size; the
-    family is complete outright once expanded by the word stabilizer.
-
-    Per weight composition and seed, one search grows the covers through
-    the seed's lowest placement ``P_0``.  A position permutation fixes
-    ``u`` and keeps pool membership, levels, dichotomy and twins, so the
-    one that carries ``P_0`` onto another placement ``P_j`` carries the
-    covers through ``P_0`` one to one onto those through ``P_j``; each
-    cover found is mapped by every such permutation (``_Ranks``), and each
-    image is kept once.
+    family is complete outright once expanded by the word stabilizer.  Per
+    weight composition and seed there is one search, from the seed itself.
+    A cover that holds a position-permuted copy of a seed needs no search
+    of its own: the position permutation fixes ``u`` and keeps pool
+    membership, levels and twin-freeness, so its inverse carries that cover
+    onto one that holds the seed.
 
     A ``resume`` cursor ``(composition_index, seed_index)`` skips all
     (composition, seed) units before it, so an interrupted long run can be
@@ -334,26 +303,12 @@ def cover_word(
         raise ValueError("seeded covers have at least two words")
     seeds = standard_seeds(dim)
     pool = _cover_pool(alphabet.pair_count, dim)
-    ranks = _Ranks(pool.words, alphabet.pair_count, dim)
-    identity = (tuple(alphabet.letters()),) * dim
-    found: set[tuple[int, ...]] = set()
-
-    def collector(images: list[dict[int, int]]):
-        def collect(cover: frozenset[int]) -> None:
-            found.add(tuple(sorted(cover)))
-            for image in images:
-                found.add(tuple(sorted(map(image.__getitem__, cover))))
-        return collect
-
-    # per seed: its level, the pool indices of P_0, and a collector that
-    # also keeps the images on the other placements
+    # per seed: its level and its pool indices
     units = []
     for seed in seeds:
         (level,) = {w.count(ANCHOR_LETTER) for w in seed}
-        (lowest, _), *others = _seed_placements(seed, embed_layouts)
-        ids = tuple(bisect_left(pool.words, w) for w in lowest)
-        images = [ranks.images(ranks.table(source, identity)) for _, source in others]
-        units.append((level, ids, collector(images)))
+        units.append((level, tuple(bisect_left(pool.words, w) for w in seed)))
+    found: set[frozenset[int]] = set()
 
     for ci, x in enumerate(weight_compositions(dim, size)):
         if resume is not None and ci < resume[0]:
@@ -362,7 +317,7 @@ def cover_word(
         first = support[0]
         # the lowest occupied level always holds an even number of words
         assert x[first] % 2 == 0, x
-        for si, (level, ids, collect) in enumerate(units):
+        for si, (level, ids) in enumerate(units):
             if resume is not None and ci == resume[0] and si < resume[1]:
                 continue
             if level != first:
@@ -372,9 +327,9 @@ def cover_word(
             for lvl in support:
                 extra = x[lvl] - (2 if lvl == first else 0)
                 remaining.extend([lvl] * extra)
-            _grow(ids, allowed, tuple(remaining), pool, collect, twin_free=True)
+            _grow(ids, allowed, tuple(remaining), pool, found.add, twin_free=True)
     word = pool.words.__getitem__
-    return tuple([tuple(map(word, ids)) for ids in sorted(found)])
+    return tuple(sorted(tuple(map(word, sorted(ids))) for ids in found))
 
 
 def _grow(

@@ -169,11 +169,18 @@ class TestCovers:
         assert run("covers", "--word", "bbbbb", "--size", "7", "--pairs", "2") == 0
         assert "classes: 3" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("cursor", ["x", "3", "1,x", "1,2,3"])
+    @pytest.mark.parametrize("cursor", ["x", "3", "1,x", "1,2,3", "-1,-5", "0,-1"])
     def test_malformed_resume_cursor_exit_2(self, capsys, cursor):
         argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2"]
-        assert run(*argv, "--resume", cursor) == 2
+        assert run(*argv, f"--resume={cursor}") == 2
         assert "--resume expects COMPOSITION,SEED" in capsys.readouterr().err
+
+    def test_resume_refused_with_twin_pairs(self, capsys):
+        # the direct enumeration has no cursor; it would list every cover
+        argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2", "--twin-pairs"]
+        assert run(*argv, "--resume", "99,0") == 2
+        err = capsys.readouterr().err
+        assert "--resume applies to the seeded enumeration" in err
 
     def test_resumed_run_counts_the_rest(self, capsys):
         argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2"]

@@ -5,6 +5,7 @@ import itertools
 import os
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -31,8 +32,6 @@ from polybox.search import (
     PruneContext,
     _cover_pool,
     _grow,
-    _Ranks,
-    _seed_placements,
     _top_transversal,
     cover_bound,
     cover_code,
@@ -96,22 +95,14 @@ class TestCoverWord:
                 b_count = sum(1 for s in c if s == 2)
                 assert overlap_weight(c, V5) == 1 << b_count
 
-    def test_layout_embedding_does_not_change_classes(self):
-        alphabet = Alphabet(2)
-        stabilizer = word_stabilizer(V5, alphabet)
-        for size in (5, 6, 7):
-            with_layouts = dedup_orbits(cover_word(V5, size, alphabet), stabilizer)
-            without = dedup_orbits(
-                cover_word(V5, size, alphabet, embed_layouts=False), stabilizer
-            )
-            assert set(with_layouts) == set(without)
-
     def test_agrees_with_direct_enumeration(self):
+        # complete up to the stabilizer: every class of the direct family
+        # has a cover that holds a standard seed on its lowest level
         alphabet = Alphabet(2)
         stabilizer = word_stabilizer(V5, alphabet)
-        for size in (5, 6):
+        for size in (5, 6, 7, 8):
             seeded = cover_word(V5, size, alphabet)
-            direct = enumerate_minimal_covers(V5, size, alphabet, twin_free=True)
+            direct = direct_twin_free(2, size)
             assert set(seeded) <= set(direct)
             assert set(dedup_orbits(seeded, stabilizer)) == set(
                 dedup_orbits(direct, stabilizer)
@@ -538,57 +529,38 @@ class TestGrowAgainstSlowTwin:
         assert twinned_grow and all(len(base) == 2 for base, _, _ in twinned_grow)
 
 
-# slow twin: ``cover_word`` as it was before the placement maps, one
-# ``_grow`` per (composition, seed, placement), kept as the reference the
-# mapped search must match ---------------------------------------------------
+# slow twin: ``cover_word`` as a filter on the direct enumeration, keeping
+# the covers that hold a standard seed on their lowest occupied level ------
 
-def slow_seed_placements(seed, embed_layouts):
-    if not embed_layouts:
-        return (seed,)
-    dim = len(seed[0])
-    out = {
-        tuple(sorted(tuple(w[p] for p in perm) for w in seed))
-        for perm in itertools.permutations(range(dim))
-    }
-    return tuple(sorted(out))
+@lru_cache(maxsize=4)
+def direct_twin_free(pairs: int, size: int) -> tuple:
+    return enumerate_minimal_covers(V5, size, Alphabet(pairs), twin_free=True)
 
 
-def slow_cover_word(u, size, alphabet, embed_layouts=True, resume=None):
-    dim = len(u)
-    seeds = [make_code(seed) for seed in standard_seeds(dim)]
-    seed_levels = []
-    for seed in seeds:
-        (level,) = {sum(1 for s in w if s == ANCHOR_LETTER) for w in seed}
-        seed_levels.append(level)
-    pool = _cover_pool(alphabet.pair_count, dim)
-    index = {w: i for i, w in enumerate(pool.words)}
-    found = set()
-    for ci, x in enumerate(weight_compositions(dim, size)):
-        if resume is not None and ci < resume[0]:
-            continue
-        support = [i for i in range(dim) if x[i] > 0]
-        first = support[0]
-        for si, (seed, level) in enumerate(zip(seeds, seed_levels)):
-            if resume is not None and ci == resume[0] and si < resume[1]:
-                continue
-            if level != first:
-                continue
-            for placement in slow_seed_placements(seed, embed_layouts):
-                ids = [index[w] for w in placement]
-                allowed = pool.twin_free[ids[0]] & pool.twin_free[ids[1]]
-                remaining = []
-                for lvl in support:
-                    extra = x[lvl] - (2 if lvl == first else 0)
-                    remaining.extend([lvl] * extra)
-                _grow(
-                    tuple(ids), allowed, tuple(remaining), pool, found.add,
-                    twin_free=True,
-                )
-    return tuple(sorted(tuple(sorted(pool.words[i] for i in ids)) for ids in found))
+@lru_cache(maxsize=4)
+def last_seed_units(pairs: int, size: int) -> dict:
+    """Per cover of the direct twin-free family that holds a standard seed
+    on its lowest occupied level, in sorted order, the last (composition,
+    seed) unit with such a seed."""
+    compositions = weight_compositions(5, size)
+    seeds = [(seed[0].count(ANCHOR_LETTER), set(seed)) for seed in standard_seeds()]
+    out = {}
+    for cover in direct_twin_free(pairs, size):
+        levels = [w.count(ANCHOR_LETTER) for w in cover]
+        ci = compositions.index(profile(levels))
+        units = [
+            (ci, si) for si, (level, seed) in enumerate(seeds)
+            if level == min(levels) and seed <= set(cover)
+        ]
+        if units:
+            out[cover] = units[-1]
+    return out
 
 
-def permute(source, word):
-    return tuple(word[p] for p in source)
+def seeded_direct(pairs: int, size: int, resume=(0, 0)) -> tuple:
+    """The covers ``cover_word`` must find: those with a seed at a unit at
+    or after ``resume``."""
+    return tuple(c for c, unit in last_seed_units(pairs, size).items() if unit >= resume)
 
 
 class TestCoverWordAgainstSlowTwin:
@@ -596,74 +568,34 @@ class TestCoverWordAgainstSlowTwin:
         pytest.param(10, marks=pytest.mark.skipif(not LONG, reason="runs with POLYBOX_LONG=1"))
     ])
     def test_two_pairs(self, size):
-        alphabet = Alphabet(2)
-        family = cover_word(V5, size, alphabet)
-        assert family == slow_cover_word(V5, size, alphabet) != ()
+        family = cover_word(V5, size, Alphabet(2))
+        assert family == seeded_direct(2, size) != ()
 
     @pytest.mark.parametrize("size", [5, 6, 7])
     def test_three_pairs(self, size):
-        alphabet = Alphabet(3)
-        family = cover_word(V5, size, alphabet)
-        assert family == slow_cover_word(V5, size, alphabet) != ()
+        family = cover_word(V5, size, Alphabet(3))
+        assert family == seeded_direct(3, size) != ()
 
-    @pytest.mark.parametrize("pairs, size", [(2, 7), (2, 8), (2, 9), (3, 7)])
-    def test_without_layouts(self, pairs, size):
-        alphabet = Alphabet(pairs)
-        family = cover_word(V5, size, alphabet, embed_layouts=False)
-        assert family == slow_cover_word(V5, size, alphabet, embed_layouts=False) != ()
-        assert set(family) < set(cover_word(V5, size, alphabet))
-
-    @pytest.mark.parametrize("embed_layouts", [True, False])
-    def test_resume_cursors(self, embed_layouts):
+    @pytest.mark.parametrize("size, cursors", [
+        pytest.param(9, [(1, 1), (3, 1), (5, 0), (5, 1)], id="9"),
+        pytest.param(
+            10, [(0, 1), (1, 1), (4, 0), (5, 0), (5, 3), (9, 0)], id="10",
+            marks=pytest.mark.skipif(not LONG, reason="runs with POLYBOX_LONG=1"),
+        ),
+    ])
+    def test_resume_cursors(self, size, cursors):
         alphabet = Alphabet(2)
-        compositions = len(weight_compositions(5, 9))
-        whole = cover_word(V5, 9, alphabet, embed_layouts=embed_layouts)
-        sizes = set()
-        # with layouts, the units at (1, 1), (3, 1), (5, 0) and (6, 0) find
-        # covers that no later unit finds, so skipping one shows
-        for cursor in [(0, 0), (1, 1), (1, 2), (3, 1), (5, 0), (6, 0), (6, 1),
-                       (compositions, 0)]:
-            family = cover_word(V5, 9, alphabet, embed_layouts=embed_layouts, resume=cursor)
-            assert family == slow_cover_word(
-                V5, 9, alphabet, embed_layouts=embed_layouts, resume=cursor
-            )
+        compositions = len(weight_compositions(5, size))
+        whole = cover_word(V5, size, alphabet)
+        counts = []
+        # but for (5, 1) at size 9, the unit at each cursor finds covers that
+        # no later unit finds, so skipping it shows; (5, 1) and (5, 3) sit
+        # past seed 0's unit of composition 5, which must be skipped
+        for cursor in [*cursors, (compositions, 0)]:
+            family = cover_word(V5, size, alphabet, resume=cursor)
+            assert family == seeded_direct(2, size, cursor)
             assert set(family) <= set(whole)
-            sizes.add(len(family))
-        # the cursors cut the family at different places, down to nothing
-        assert len(sizes) > 4 and 0 in sizes and len(whole) in sizes
-
-
-class TestSeedPlacements:
-    @pytest.mark.parametrize("embed_layouts", [True, False])
-    def test_the_slow_placements_lowest_first(self, embed_layouts):
-        for seed in standard_seeds():
-            placements = _seed_placements(seed, embed_layouts)
-            codes = [code for code, _ in placements]
-            if embed_layouts:
-                assert tuple(codes) == slow_seed_placements(seed, True)
-            else:
-                assert codes == [seed]
-            assert codes[0] == min(codes)
-            assert placements[0][1] == tuple(range(5))
-
-    @pytest.mark.parametrize("pairs", [2, 3])
-    def test_permutations_carry_the_lowest_placement_and_the_pool(self, pairs):
-        pool = _cover_pool(pairs, 5)
-        ranks = _Ranks(pool.words, pairs, 5)
-        identity = (tuple(Alphabet(pairs).letters()),) * 5
-        levels = [
-            {w for w in pool.words if w.count(ANCHOR_LETTER) == level}
-            for level in range(5)
-        ]
-        for seed in standard_seeds():
-            (first, _), *others = _seed_placements(seed, True)
-            for placement, source in others:
-                assert sorted(source) == list(range(5))
-                assert tuple(sorted(permute(source, w) for w in first)) == placement
-                assert permute(source, V5) == V5
-                for level_words in levels:
-                    assert {permute(source, w) for w in level_words} == level_words
-                # the rank images the search maps covers with agree
-                images = ranks.images(ranks.table(source, identity))
-                for i in range(0, len(pool.words), 7):
-                    assert pool.words[images[i]] == permute(source, pool.words[i])
+            counts.append(len(family))
+        # the first cursor skips nothing, and each later one cuts more off
+        assert counts[0] == len(whole) and counts[-1] == 0
+        assert counts == sorted(set(counts), reverse=True)
