@@ -95,6 +95,23 @@ class TestCoverWord:
                 b_count = sum(1 for s in c if s == 2)
                 assert overlap_weight(c, V5) == 1 << b_count
 
+    def test_layout_embedding_does_not_change_classes(self):
+        # mapping the family through every position permutation, as growing
+        # from each seed's placements would, gives valid covers but no class
+        alphabet = Alphabet(2)
+        stabilizer = word_stabilizer(V5, alphabet)
+        for size in (5, 6, 7):
+            family = cover_word(V5, size, alphabet)
+            embedded = {
+                tuple(sorted(permute(perm, w) for w in cover))
+                for cover in family
+                for perm in itertools.permutations(range(5))
+            }
+            assert set(family) < embedded <= set(direct_twin_free(2, size))
+            assert set(dedup_orbits(family, stabilizer)) == set(
+                dedup_orbits(embedded, stabilizer)
+            )
+
     def test_agrees_with_direct_enumeration(self):
         # complete up to the stabilizer: every class of the direct family
         # has a cover that holds a standard seed on its lowest level
@@ -532,12 +549,12 @@ class TestGrowAgainstSlowTwin:
 # slow twin: ``cover_word`` as a filter on the direct enumeration, keeping
 # the covers that hold a standard seed on their lowest occupied level ------
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def direct_twin_free(pairs: int, size: int) -> tuple:
     return enumerate_minimal_covers(V5, size, Alphabet(pairs), twin_free=True)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def last_seed_units(pairs: int, size: int) -> dict:
     """Per cover of the direct twin-free family that holds a standard seed
     on its lowest occupied level, in sorted order, the last (composition,
@@ -555,6 +572,27 @@ def last_seed_units(pairs: int, size: int) -> dict:
         if units:
             out[cover] = units[-1]
     return out
+
+
+def permute(source, word):
+    return tuple(word[p] for p in source)
+
+
+def placed_direct(pairs: int, size: int) -> tuple:
+    """The covers of the direct twin-free family that hold some
+    position-permuted placement of a standard seed on their lowest occupied
+    level."""
+    placements = {
+        (seed[0].count(ANCHOR_LETTER), frozenset(permute(perm, w) for w in seed))
+        for seed in standard_seeds()
+        for perm in itertools.permutations(range(5))
+    }
+    out = []
+    for cover in direct_twin_free(pairs, size):
+        lowest = min(w.count(ANCHOR_LETTER) for w in cover)
+        if any(level == lowest and placed <= set(cover) for level, placed in placements):
+            out.append(cover)
+    return tuple(out)
 
 
 def seeded_direct(pairs: int, size: int, resume=(0, 0)) -> tuple:
@@ -576,24 +614,42 @@ class TestCoverWordAgainstSlowTwin:
         family = cover_word(V5, size, Alphabet(3))
         assert family == seeded_direct(3, size) != ()
 
-    @pytest.mark.parametrize("size, cursors", [
-        pytest.param(9, [(1, 1), (3, 1), (5, 0), (5, 1)], id="9"),
-        pytest.param(
-            10, [(0, 1), (1, 1), (4, 0), (5, 0), (5, 3), (9, 0)], id="10",
-            marks=pytest.mark.skipif(not LONG, reason="runs with POLYBOX_LONG=1"),
-        ),
-    ])
-    def test_resume_cursors(self, size, cursors):
-        alphabet = Alphabet(2)
+    @pytest.mark.parametrize("pairs, size", [(2, 7), (2, 8), (2, 9), (3, 7)])
+    def test_without_layouts(self, pairs, size):
+        # growing from each seed alone, not from its position-permuted
+        # placements, drops covers but no class
+        alphabet = Alphabet(pairs)
+        family = cover_word(V5, size, alphabet)
+        placed = placed_direct(pairs, size)
+        assert set(family) < set(placed)
+        stabilizer = word_stabilizer(V5, alphabet)
+        assert set(dedup_orbits(family, stabilizer)) == set(
+            dedup_orbits(placed, stabilizer)
+        )
+
+    @pytest.mark.parametrize("three_pairs", [False, True])
+    def test_resume_cursors(self, three_pairs):
+        # the unit at each cursor finds covers that no later unit finds, so
+        # skipping it shows; at two pairs, (5, 1) sits past seed 0's unit of
+        # composition 5, which must be skipped
+        if three_pairs:
+            self.check_resume_cursors(3, 7, [(1, 1), (6, 0)])
+        else:
+            self.check_resume_cursors(2, 9, [(1, 1), (3, 1), (5, 0), (5, 1)])
+
+    @pytest.mark.skipif(not LONG, reason="runs with POLYBOX_LONG=1")
+    def test_resume_cursors_at_size_10(self):
+        self.check_resume_cursors(2, 10, [(0, 1), (1, 1), (4, 0), (5, 0), (5, 3), (9, 0)])
+
+    @staticmethod
+    def check_resume_cursors(pairs, size, cursors):
+        alphabet = Alphabet(pairs)
         compositions = len(weight_compositions(5, size))
         whole = cover_word(V5, size, alphabet)
         counts = []
-        # but for (5, 1) at size 9, the unit at each cursor finds covers that
-        # no later unit finds, so skipping it shows; (5, 1) and (5, 3) sit
-        # past seed 0's unit of composition 5, which must be skipped
         for cursor in [*cursors, (compositions, 0)]:
             family = cover_word(V5, size, alphabet, resume=cursor)
-            assert family == seeded_direct(2, size, cursor)
+            assert family == seeded_direct(pairs, size, cursor)
             assert set(family) <= set(whole)
             counts.append(len(family))
         # the first cursor skips nothing, and each later one cuts more off
