@@ -4,12 +4,12 @@ letter bijections that respect complementation.
 Canonical forms are exact lexicographic orbit minima.  Orbits of groups
 with generators are walked over packed words (``core.pack_code``: a word
 is its mixed-radix number over the alphabet's letters, so a code is a
-sorted tuple of ints in the same lex order), with one table per generator
-from packed word to packed image, filled as the walks meet words.  There are two walks:
+sorted tuple of ints in the same lex order), with one table per step
+element from packed word to packed image, filled as walks meet words:
 
-* the element walk visits each group element once, over a Schreier tree,
-  and derives each element's image of the code from its tree parent's with
-  one table: ``order`` images per orbit;
+* the element walk visits each group element once, each from the one
+  before by one table, planned from the layout of the generators
+  (``Group._walk_steps``): ``order`` images per orbit;
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
@@ -23,22 +23,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .alphabet import STAR, Alphabet, letter_name
 from .core import Code, Word, _DigitSum, pack_code, place_values, word_table
 
-# The element walk pays for a Schreier tree once per group (about 10 us
-# per element) and then ``order`` images per orbit, whatever the orbit's
-# size; the orbit walk pays ``|generators|`` images per orbit code.  So the
-# element walk wins on near-regular orbits, such as the two-pair census of
-# twin-pair-free covers of bbbbb (3,840 elements, orbits averaging 2,837
-# codes): sizes 5-10 dedup in 1.0 s against 2.7 s on a 2-core machine.  It
-# loses on small orbits: one canonical form, or the 2-4-word covers of
-# bbbbb, cost about 35 ms more, the tree.  Above this order it gained on no
-# family measured: at 5,040 elements (one pair, d=7) dedup of random 3-word
-# codes broke even, and at 46,080 (two pairs, d=6) one canonical form took
-# 0.42 s against 6 ms.
+# The element walk plans its steps once per group (0.5 ms at the 3,840
+# elements of the two-pair stabilizer of bbbbb), then maps ``order`` images
+# per orbit; the orbit walk maps ``|generators|`` images per orbit code.
+# So the element walk wins on near-regular orbits: at 3,840 elements the
+# size-10 census of twin-pair-free covers of bbbbb dedups in 0.42 s against
+# 3.2 s, and one of its canonical forms takes 10 ms against 85 ms; it loses
+# on small orbits (a 2-word cover: 6 ms against 0.4 ms).  Above this order
+# no family measured favours it throughout: at 5,040 (one pair, d=7) 200
+# random 3-word codes took 1.0 s against 1.5 s, 1-word codes 0.85 s against
+# 0.03 s; at 46,080 (two pairs, d=6) a small cover's canonical form took
+# 60 ms against 1.5 ms.  Timed on a 2-core machine.
 ELEMENT_WALK_MAX_ORDER = 5_000
 
 
@@ -116,11 +116,11 @@ class Group:
     enumerator; ``order`` is exact when known.
 
     A group whose ``order`` is known and at most ``ELEMENT_WALK_MAX_ORDER``
-    is walked element by element over a Schreier tree, built when it first
-    walks and kept for its life; others, such as the three-pair d=5 word
-    stabilizer (3,932,160 elements), breadth-first over the orbit.  The
-    generator tables and the table that unpacks words are kept too, but
-    hold only the words met, never the whole word space.
+    is walked element by element, along steps planned when it first walks
+    and kept for its life; others, such as the three-pair d=5 word
+    stabilizer (3,932,160 elements), breadth-first over the orbit.  Their
+    tables, per step or per generator, and the table that unpacks words are
+    kept too, but hold only the words met, never the whole word space.
     """
 
     def __init__(
@@ -138,34 +138,19 @@ class Group:
         self.order = order
         self._tables: list[_DigitSum] | None = None
         self._words: _DigitSum | None = None
-        self._tree: list[tuple[int, _DigitSum]] | None = None
+        self._steps: list[_DigitSum] | None = None
 
     def elements(self) -> Iterator[GroupElement]:
         if self._elements_factory is not None:
             return self._elements_factory()
-        return self._close_generators()
-
-    def _close_generators(self) -> Iterator[GroupElement]:
-        seen = {identity(self.alphabet, self.dim)}
-        frontier = list(seen)
-        yield from frontier
-        while frontier:
-            new: list[GroupElement] = []
-            for g in frontier:
-                for gen in self.generators:
-                    candidate = compose(gen, g)
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        new.append(candidate)
-                        yield candidate
-            frontier = new
+        return iter(_closure(identity(self.alphabet, self.dim), self.generators, compose))
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
         return self._unpack(self._packed_orbit(self._pack(code)))
 
-    def _packed_orbit(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """All images of a packed code, packed."""
+    def _packed_orbit(self, code: tuple[int, ...]) -> Collection[tuple[int, ...]]:
+        """All images of a packed code, packed (the element walk's repeat)."""
         if self.order is not None and self.order <= ELEMENT_WALK_MAX_ORDER:
             return self._element_walk(code)
         return self._orbit_walk(code)
@@ -173,16 +158,17 @@ class Group:
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
         if self._tables is None:
-            places = place_values(self.alphabet, self.dim)
-            self._tables = []
-            for g in self.generators:
-                # source position j lands at position i with sigma[i] == j
-                lookups = []
-                for j in reversed(range(self.dim)):
-                    i = g.sigma.index(j)
-                    lookups.append(tuple(s * places[i] for s in g.maps[i]))
-                self._tables.append(_DigitSum(self.alphabet.size, lookups, 0))
+            self._tables = [self._table(g) for g in self.generators]
         return self._tables
+
+    def _table(self, g: GroupElement) -> _DigitSum:
+        places = place_values(self.alphabet, self.dim)
+        # source position j lands at position i with sigma[i] == j
+        lookups = []
+        for j in reversed(range(self.dim)):
+            i = g.sigma.index(j)
+            lookups.append(tuple(s * places[i] for s in g.maps[i]))
+        return _DigitSum(self.alphabet.size, lookups, 0)
 
     def _pack(self, code: Code) -> tuple[int, ...]:
         if any(len(v) != self.dim for v in code):
@@ -208,51 +194,89 @@ class Group:
                     queue.append(image)
         return seen
 
-    def _element_walk(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """The code's image under every element, each from its tree
-        parent's image by one generator table."""
+    def _element_walk(self, code: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The code's image under every element, each from the last."""
         images = [code]
         append = images.append
-        for parent, table in self._schreier_tree():
-            append(tuple(sorted(map(table.__getitem__, images[parent]))))
-        return set(images)
+        for table in self._walk_steps():
+            code = tuple(sorted(map(table.__getitem__, code)))
+            append(code)
+        return images
 
-    def _schreier_tree(self) -> list[tuple[int, _DigitSum]]:
-        """A breadth-first spanning tree of the Cayley graph: entry ``e - 1``
-        is ``(parent, generator table)`` of element ``e``, which acts as
-        that generator after its parent; element 0 is the identity.
+    def _walk_steps(self) -> list[_DigitSum]:
+        """``order - 1`` tables that carry each element to the next from the
+        identity, meeting each once.  Each generator must act at one position
+        or swap adjacent positions, all swaps present; the group is then taken
+        to be ``S_d`` over the normal product ``N`` of the letter-map groups
+        ``N_i`` at each position, as ``word_stabilizer`` and ``full_group``
+        build it, and only its order is checked.  ``N`` is walked like an
+        odometer over a listing of each ``N_i``: a step left-multiplies one
+        position's next entry over its last, so a rerun of the lower positions'
+        walk covers them wherever it starts.  Between walks of ``N``, swaps in
+        Steinhaus-Johnson-Trotter order step through its cosets."""
+        if self._steps is None:
+            dim, fixed = self.dim, _identity_map(self.alphabet)
+            swaps, factors = {}, [[] for _ in range(dim)]
+            for g in self.generators:
+                if g.sigma != tuple(range(dim)):
+                    swaps[g.sigma] = self._table(g)
+                    continue
+                moved = [i for i in range(dim) if g.maps[i] != fixed]
+                if len(moved) > 1:
+                    raise ValueError("element walk generators must act at one position")
+                for i in moved:
+                    factors[i].append(g.maps[i])
+            if swaps.keys() != {_swap(dim, k) for k in range(dim - 1)}:
+                raise ValueError("element walk generators must swap adjacent positions")
+            after = lambda g, m: tuple(map(g.__getitem__, m))
+            listings = [_closure(fixed, factor, after) for factor in factors]
+            count = math.factorial(dim) * math.prod(map(len, listings))
+            if count != self.order:
+                raise ValueError(f"generators reach {count} elements, not the order {self.order}")
+            walk, tables = [], {}  # a listing repeats steps: one table each
+            for i, listing in enumerate(listings):
+                lower, walk = walk, list(walk)
+                for x in range(1, len(listing)):
+                    step = (i, after(listing[x], map(listing[x - 1].index, fixed)))
+                    if step not in tables:
+                        tables[step] = self._table(_position_element(self.alphabet, dim, *step))
+                    walk += [tables[step]] + lower
+            self._steps = list(walk)
+            for k in _sjt_swaps(dim):
+                self._steps += [swaps[_swap(dim, k)]] + walk
+        return self._steps
 
-        Elements are told apart by their images of a base: the all-``a``
-        word gives every position's letter map at ``a``, and for each
-        position and each other pair, the word with that pair's unprimed
-        letter there shows where the position goes and what the pair
-        becomes (with one pair, ``a'`` shows where it goes).  So only the
-        identity fixes the base."""
-        if self._tree is None:
-            tables = self._walk_tables()
-            base = (0,) + tuple(
-                s * place
-                for place in place_values(self.alphabet, self.dim)
-                for s in range(2, self.alphabet.size, 2) or (1,)
-            )
-            seen = {base}
-            keys = [base]
-            tree: list[tuple[int, _DigitSum]] = []
-            for parent, key in enumerate(keys):
-                for table in tables:
-                    image = tuple(map(table.__getitem__, key))
-                    if image not in seen:
-                        seen.add(image)
-                        keys.append(image)
-                        tree.append((parent, table))
-                if len(keys) > self.order:
-                    break
-            if len(keys) != self.order:
-                raise ValueError(
-                    f"generators reach {len(keys)} elements, not the order {self.order}"
-                )
-            self._tree = tree
-        return self._tree
+
+def _closure(start, generators, after) -> list:
+    """All that ``after(generator, x)`` reaches from ``start``, breadth-first."""
+    listing, seen = [start], {start}
+    for x in listing:
+        for g in generators:
+            image = after(g, x)
+            if image not in seen:
+                seen.add(image)
+                listing.append(image)
+    return listing
+
+
+def _sjt_swaps(dim: int) -> list[int]:
+    """The ``k`` of each swap of positions ``k``, ``k + 1`` that steps through
+    all ``dim!`` permutations in Steinhaus-Johnson-Trotter order (Johnson,
+    Math. Comp. 17, 1963): the last sweeps, the others step between sweeps."""
+    swaps: list[int] = []
+    for n in range(2, dim + 1):
+        inner, swaps = swaps, []
+        for b in range(len(inner) + 1):
+            swaps += range(n - 2, -1, -1) if b % 2 == 0 else range(n - 1)
+            if b < len(inner):
+                swaps.append(inner[b] + 1 - b % 2)
+    return swaps
+
+
+def _swap(dim: int, k: int) -> tuple[int, ...]:
+    sigma = list(range(dim))
+    sigma[k], sigma[k + 1] = k + 1, k
+    return tuple(sigma)
 
 
 # letter-map building blocks ----------------------------------------------
@@ -316,11 +340,7 @@ def _constrained_maps(
 def full_group(alphabet: Alphabet, dim: int) -> Group:
     generators = []
     for i in range(dim - 1):
-        sigma = list(range(dim))
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        generators.append(
-            GroupElement(sigma=tuple(sigma), maps=(_identity_map(alphabet),) * dim)
-        )
+        generators.append(GroupElement(sigma=_swap(dim, i), maps=(_identity_map(alphabet),) * dim))
     for i in range(dim):
         generators.append(_position_element(alphabet, dim, i, _orientation_flip(alphabet, 0)))
         for p in range(alphabet.pair_count - 1):
@@ -358,12 +378,10 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
     dim = len(word)
     generators = []
     for i in range(dim - 1):
-        sigma = list(range(dim))
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
         maps = [_identity_map(alphabet)] * dim
         maps[i] = _transport(alphabet, word[i + 1], word[i])
         maps[i + 1] = _transport(alphabet, word[i], word[i + 1])
-        generators.append(GroupElement(sigma=tuple(sigma), maps=tuple(maps)))
+        generators.append(GroupElement(sigma=_swap(dim, i), maps=tuple(maps)))
     for i in range(dim):
         fixed_pair = word[i] >> 1
         others = [p for p in range(alphabet.pair_count) if p != fixed_pair]
@@ -398,8 +416,10 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
 
 
 def canonical_form(code: Code, group: Group) -> Code:
-    """Lexicographic minimum over the orbit; equal on all orbit members."""
-    return min(group.orbit(code))
+    """Lexicographic minimum over the orbit; equal on all orbit members.
+    Packing keeps lex order, so only the packed minimum is unpacked."""
+    (canonical,) = group._unpack([min(group._packed_orbit(group._pack(code)))])
+    return canonical
 
 
 def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
@@ -416,7 +436,7 @@ def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
         if packed not in pending:
             continue
         orbit = group._packed_orbit(packed)
-        pending -= orbit
+        pending.difference_update(orbit)
         minima.append(min(orbit))
     return tuple(sorted(group._unpack(minima)))
 

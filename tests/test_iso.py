@@ -19,6 +19,7 @@ from polybox.core import (
     is_simple,
     make_code,
     overlap_weight,
+    place_values,
     twin_pair_direction,
 )
 from polybox.catalog import small_covers, special_pair
@@ -228,6 +229,17 @@ def _old_orbit(group: Group, code):
     return frozenset(seen)
 
 
+def _old_representatives(group: Group, family):
+    """The sorted orbit minima of the family, by the old walk."""
+    expected, seen = [], set()
+    for code in sorted(set(family)):
+        if code not in seen:
+            orbit = _old_orbit(group, code)
+            seen |= orbit
+            expected.append(min(orbit))
+    return tuple(sorted(expected))
+
+
 @functools.lru_cache(maxsize=None)
 def _cover_family(size: int):
     return cover_word(V5, size, Alphabet(2))
@@ -237,15 +249,18 @@ def _cover_family(size: int):
 def _census_groups():
     """The stabilizer of bbbbb over two pairs, and the same generators with
     no order, which take the orbit walk; shared, so each builds its tables
-    (and the first its tree) once."""
+    (and the first its walk steps) once."""
     stab = word_stabilizer(V5, Alphabet(2))
     return stab, Group(stab.alphabet, stab.dim, stab.generators)
 
 
 def _sample_codes(group: Group, rng: Random, count: int):
-    """Sets of one to four words."""
+    """Sets of one to four words (of at most as many as there are)."""
     words = list(itertools.product(group.alphabet.letters(), repeat=group.dim))
-    return [tuple(sorted(rng.sample(words, rng.randint(1, 4)))) for _ in range(count)]
+    return [
+        tuple(sorted(rng.sample(words, rng.randint(1, min(4, len(words))))))
+        for _ in range(count)
+    ]
 
 
 def _anchor(pairs: int, dim: int):
@@ -267,10 +282,12 @@ def _full_groups(pairs_dims):
     ]
 
 
-# groups small enough to enumerate: both walks against Group.elements()
+# groups small enough to enumerate: both walks against Group.elements();
+# stab-4-2 has 48-element letter-map groups per position, full-5-1 one of
+# 3,840 elements, the d=1 groups no position swaps and stab-2-0 no positions
 ENUMERABLE = _stabilizers(
-    [(p, d) for p in (1, 2) for d in (2, 3, 4, 5)] + [(3, 2), (3, 3)]
-) + _full_groups([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+    [(p, d) for p in (1, 2) for d in (2, 3, 4, 5)] + [(3, 2), (3, 3), (4, 2), (2, 1), (2, 0)]
+) + _full_groups([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 1), (5, 1)])
 # larger ones: the orbit walk against the old walk, on small covers of b...b
 LARGE = [4, 5]
 # cover_word families of bbbbb over two pairs; sizes 8 and 9 (4 and 19
@@ -308,28 +325,71 @@ class TestWalks:
 
     @pytest.mark.parametrize("group", ENUMERABLE)
     def test_schreier_tree_reaches_the_order(self, group):
-        assert len(group._schreier_tree()) + 1 == group.order
+        """The element walk's steps form a spanning path of the group, a
+        Schreier tree with one branch: from the identity they meet
+        ``order`` elements, each once.  Elements are told apart by their
+        images of a base: the all-``a`` word gives every position's letter
+        map at ``a``, and for each position and each other pair, the word
+        with that pair's unprimed letter there shows where the position
+        goes and what the pair becomes (with one pair, ``a'`` shows where
+        it goes).  So only the identity fixes the base."""
+        base = (0,) + tuple(
+            s * place
+            for place in place_values(group.alphabet, group.dim)
+            for s in range(2, group.alphabet.size, 2) or (1,)
+        )
+        keys = [base]
+        for table in group._walk_steps():
+            keys.append(tuple(map(table.__getitem__, keys[-1])))
+        assert len(set(keys)) == len(keys) == group.order
 
     def test_schreier_tree_refuses_a_wrong_order(self):
+        """The planned walk counts ``d! * prod |N_i|`` elements and refuses
+        an order that differs."""
         stab = word_stabilizer(W("bbb"), Alphabet(2))
         for order in (stab.order - 1, stab.order + 1, 2 * stab.order):
             group = Group(stab.alphabet, stab.dim, stab.generators, order=order)
             with pytest.raises(ValueError, match="generators reach"):
                 group.orbit(make_code([W("abb")]))
 
+    def test_element_walk_refuses_other_generator_layouts(self):
+        alphabet = Alphabet(2)
+        flip = (1, 0, 2, 3)
+        swap = word_stabilizer(W("bbb"), alphabet).generators[0]
+        both = element((0, 1, 2), (flip, flip, (0, 1, 2, 3)))
+        cycle = element((1, 2, 0), ((0, 1, 2, 3),) * 3)
+        for generators, match in (
+            ((swap, both), "one position"),
+            ((cycle,), "adjacent positions"),
+        ):
+            group = Group(alphabet, 3, generators, order=12)
+            assert group.order <= ELEMENT_WALK_MAX_ORDER
+            with pytest.raises(ValueError, match=match):
+                group.orbit(make_code([W("abb")]))
+
     @pytest.mark.parametrize("size", SIZES)
     def test_dedup_walks_match_old_walk_on_cover_families(self, size):
         stab, unordered = _census_groups()
         family = _cover_family(size)
-        expected, seen = [], set()
-        for code in sorted(set(family)):
-            if code not in seen:
-                orbit = _old_orbit(stab, code)
-                seen |= orbit
-                expected.append(min(orbit))
-        expected = tuple(sorted(expected))
+        expected = _old_representatives(stab, family)
         assert dedup_orbits(family, stab) == expected
         assert dedup_orbits(family, unordered) == expected
+
+    def test_dedup_under_a_relabelled_anchor(self):
+        # the stabilizer of a non-constant word, as in the benchmark's
+        # relabelled census
+        g = element(
+            (2, 0, 4, 1, 3),
+            ((2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3), (3, 2, 1, 0), (2, 3, 1, 0)),
+        )
+        anchor = apply_word(g, V5)
+        assert anchor == W("ab'ba'a'")
+        stab = word_stabilizer(anchor, Alphabet(2))
+        for size, classes in ((5, 1), (6, 1), (7, 3)):
+            family = [apply_code(g, code) for code in _cover_family(size)]
+            expected = _old_representatives(stab, family)
+            assert dedup_orbits(family, stab) == expected
+            assert len(expected) == classes
 
     def test_dedup_unpacks_only_the_representatives(self, monkeypatch):
         stab, unordered = _census_groups()
