@@ -20,6 +20,7 @@ walk, the rest the orbit walk; both give the same orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,11 +87,8 @@ def apply_code(g: GroupElement, code: Code) -> Code:
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """The element acting as ``g`` after ``h``."""
-    sigma = tuple(h.sigma[g.sigma[i]] for i in range(len(g.sigma)))
-    maps = tuple(
-        tuple(g.maps[i][h.maps[g.sigma[i]][s]] for s in range(len(g.maps[i])))
-        for i in range(len(g.sigma))
-    )
+    sigma = tuple(map(h.sigma.__getitem__, g.sigma))
+    maps = tuple(tuple(map(m.__getitem__, h.maps[j])) for m, j in zip(g.maps, g.sigma))
     return GroupElement(sigma=sigma, maps=maps)
 
 
@@ -206,20 +204,22 @@ class Group:
     def _walk_steps(self) -> list[_DigitSum]:
         """``order - 1`` tables that carry each element to the next from the
         identity, meeting each once.  Each generator must act at one position
-        or swap adjacent positions, all swaps present; the group is then taken
-        to be ``S_d`` over the normal product ``N`` of the letter-map groups
-        ``N_i`` at each position, as ``word_stabilizer`` and ``full_group``
-        build it, and only its order is checked.  ``N`` is walked like an
-        odometer over a listing of each ``N_i``: a step left-multiplies one
-        position's next entry over its last, so a rerun of the lower positions'
-        walk covers them wherever it starts.  Between walks of ``N``, swaps in
-        Steinhaus-Johnson-Trotter order step through its cosets."""
+        or swap adjacent positions, all swaps present.  The group must be
+        ``S_d`` over the normal product ``N`` of the letter-map groups ``N_i``
+        at each position, as ``word_stabilizer`` and ``full_group`` build it:
+        the swaps are checked to normalise ``N`` and to meet the relations of
+        ``S_d`` modulo ``N``, and ``d! * |N|`` to equal the order.  ``N`` is
+        walked like an odometer over a listing of each ``N_i``: a step
+        left-multiplies one position's next entry over its last, so a rerun of
+        the lower positions' walk covers them wherever it starts.  Between
+        walks of ``N``, swaps in Steinhaus-Johnson-Trotter order step through
+        its cosets."""
         if self._steps is None:
             dim, fixed = self.dim, _identity_map(self.alphabet)
             swaps, factors = {}, [[] for _ in range(dim)]
             for g in self.generators:
                 if g.sigma != tuple(range(dim)):
-                    swaps[g.sigma] = self._table(g)
+                    swaps[g.sigma] = g
                     continue
                 moved = [i for i in range(dim) if g.maps[i] != fixed]
                 if len(moved) > 1:
@@ -231,6 +231,18 @@ class Group:
             after = lambda g, m: tuple(map(g.__getitem__, m))
             listings = [_closure(fixed, factor, after) for factor in factors]
             count = math.factorial(dim) * math.prod(map(len, listings))
+            ordered = [swaps[_swap(dim, k)] for k in range(dim - 1)]
+            # t normalises N when its map at j conjugates N_sigma[j] into N_j
+            members = [set(listing) for listing in listings]
+            coxeter = [
+                functools.reduce(compose, [compose(t, u)] * {k: 1, k + 1: 3}.get(j, 2))
+                for k, t in enumerate(ordered) for j, u in enumerate(ordered[k:], k)
+            ]
+            if not all(
+                after(after(t.maps[j], m), map(t.maps[j].index, fixed)) in members[j]
+                for t in ordered for j in range(dim) for m in factors[t.sigma[j]]
+            ) or not all(all(map(set.__contains__, members, g.maps)) for g in coxeter):
+                count = f"more than {count}"  # never the order
             if count != self.order:
                 raise ValueError(f"generators reach {count} elements, not the order {self.order}")
             walk, tables = [], {}  # a listing repeats steps: one table each
@@ -242,8 +254,9 @@ class Group:
                         tables[step] = self._table(_position_element(self.alphabet, dim, *step))
                     walk += [tables[step]] + lower
             self._steps = list(walk)
+            swap_tables = [self._table(t) for t in ordered]
             for k in _sjt_swaps(dim):
-                self._steps += [swaps[_swap(dim, k)]] + walk
+                self._steps += [swap_tables[k]] + walk
         return self._steps
 
 

@@ -7,19 +7,20 @@ glue direction, and every cut inherits that.
 
 Flip reachability is explored by breadth-first search over whole codes
 with an explicit state budget; exhaustion of the budget is reported, never
-guessed away.  The searches run on packed codes (``core.pack_code``): a
-twin pair is found by looking up the word plus one position's place value,
-and a flip is two ints.  Codes are checked once on entry, and words and
-moves are built only for what is returned.
+guessed away.  A search state is one int, a bit per word of the space
+(``_Packing``): the twin pairs at a position are one shift and two masks
+away, and a flip toggles four bits.  Codes are checked once on entry, and
+words and moves are built only for what is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
-from .alphabet import STAR, Alphabet, inferred_alphabet
+from .alphabet import STAR, Alphabet
 from .core import (
     Code,
     Word,
@@ -29,7 +30,6 @@ from .core import (
     is_simple,
     make_code,
     overlap_weight,
-    pack_code,
     pack_word,
     pairs_at,
     place_values,
@@ -109,90 +109,100 @@ def apply_flip(code: Code, move: FlipMove) -> Code:
     return tuple(sorted(rest + list(move.replacement())))
 
 
-PackedCode = tuple[int, ...]
-
-
 def _dim(code: Code) -> int:
     return len(code[0]) if code else 0
 
 
+# A state costs a bit per word, so searches over more words than this
+# (8 KiB a state) are refused: d=5 from five pairs, d=6 from four, d>=7 from
+# three.  No repro job, bundled code or benchmark workload needs them.
+STATE_BITS_CAP = 1 << 16
+
+
 class _Packing:
-    """Codes of one dimension over one alphabet as sorted tuples of packed
-    words (``core.pack_code``), with the flips worked out on the ints."""
+    """Codes of one dimension over one alphabet as one int each: packed
+    word ``w`` (``core.pack_word``) is bit ``top - w``.  Flips keep a code's
+    size, and between codes of one size a larger int is a lex-smaller code.
+    At a position of place value ``p``, the word at bit ``b`` has the letter
+    ``radix - 1`` less ``b``'s digit, so each letter's mask is a run of
+    ``p`` bits with period ``radix * p``; the twin of a word with an
+    unprimed letter there is the word plus ``p``, ``p`` bits lower."""
 
     def __init__(self, alphabet: Alphabet, dim: int) -> None:
-        self.alphabet = alphabet
-        self.radix = alphabet.size
-        # (position, place value) from the last position back: the order
-        # in which the twins of one word rise
-        self.places = list(enumerate(place_values(alphabet, dim)))[::-1]
+        size = alphabet.size**dim
+        if size > STATE_BITS_CAP:
+            raise ValueError(f"flip search too large: {size:,} words (cap {STATE_BITS_CAP:,})")
+        self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
         self.words = word_table(alphabet, dim)
+        self.letters = []  # per position, a mask per letter
+        self.places = []  # (position, place, mask of the unprimed letters)
+        for i, place in enumerate(place_values(alphabet, dim)):
+            run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << self.radix * place) - 1)
+            self.letters.append([run << (self.radix - 1 - s) * place for s in alphabet.letters()])
+            self.places.append((i, place, sum(self.letters[i][::2])))
 
-    @classmethod
-    def of(cls, code: Code, alphabet: Alphabet) -> "_Packing":
-        return cls(alphabet, _dim(code))
+    def pack(self, code: Code) -> int:
+        return sum(1 << self.top - pack_word(v, self.alphabet) for v in code)
 
-    def pack(self, code: Code) -> PackedCode:
-        return pack_code(code, self.alphabet)
+    def unpack(self, state: int) -> Code:
+        words, top, code = self.words, self.top, []
+        while state:
+            b = state.bit_length() - 1
+            code.append(words[top - b])
+            state ^= 1 << b
+        return tuple(code)
 
-    def unpack(self, state: PackedCode) -> Code:
-        return tuple(map(self.words.__getitem__, state))
+    def meeting(self, word: Word) -> int:
+        """The words with no letter complementary to ``word``'s; a letter
+        outside the alphabet is complementary to none."""
+        apart = 0
+        for masks, s in zip(self.letters, word):
+            apart |= masks[s ^ 1] if s ^ 1 < self.radix else 0
+        return (2 << self.top) - 1 ^ apart
 
-    def twins(self, state: PackedCode) -> list[tuple[int, int, int, int]]:
-        """``(a, b, direction, place)`` per twin pair ``state[a] <
-        state[b]``, in the order of ``a`` and then ``b``.  The twin of a
-        word with an unprimed letter at a position is the word plus that
-        position's place."""
-        index = {v: a for a, v in enumerate(state)}
-        return [
-            (a, index[v + place], i, place)
-            for a, v in enumerate(state)
-            for i, place in self.places
-            if not v // place & 1 and v + place in index
-        ]
-
-    def flips(self, state: PackedCode) -> Iterator[tuple[int, int, int, int, PackedCode]]:
-        """``(v, w, direction, t, successor)`` for every single flip: cut
-        along ``t``/``t'``, in twin-pair order, then letter order."""
-        radix, unprimed = self.radix, self.alphabet.unprimed()
-        for a, b, i, place in self.twins(state):
-            v = state[a]
-            rest = state[:a] + state[a + 1 : b] + state[b + 1 :]
-            s = v // place % radix
-            base = v - s * place
-            for t in unprimed:
-                if t != s:
-                    q = base + t * place
-                    yield v, v + place, i, t, tuple(sorted(rest + (q, q + place)))
-
-    def successors(self, state: PackedCode) -> set[PackedCode]:
-        return {step[-1] for step in self.flips(state)}
+    def flips(self, state: int) -> list[tuple[int, int, int, int, int]]:
+        """``(v, place, direction, t, successor)`` for every single flip of
+        the twin pair ``v``, ``v + place``: cut along ``t``/``t'``.  Sorted,
+        they come in the order of ``v``, then the twin, then ``t``."""
+        top, radix, unprimed, flips = self.top, self.radix, self.alphabet.unprimed(), []
+        for i, place, mask in self.places:
+            twins = state & state << place & mask
+            while twins:
+                b = twins.bit_length() - 1
+                twins ^= 1 << b
+                v = top - b
+                s = v // place % radix
+                two = (1 | 1 << place) << b - place
+                # the pair moved to the last unprimed letter, and up from there
+                last = two >> (radix - 2 - s) * place
+                for t in unprimed:
+                    if t != s:
+                        successor = state ^ two | last << (radix - 2 - t) * place
+                        flips.append((v, place, i, t, successor))
+        return flips
 
     def search(
-        self,
-        start: PackedCode,
-        found: Callable[[PackedCode], bool],
-        state_budget: int,
+        self, start: int, found: Callable[[int], object], state_budget: int
     ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
         """Breadth-first from ``start`` to the first state ``found`` likes."""
         _check_budget(state_budget)
         if found(start):
             return Verdict.YES, ()
-        parents: dict[PackedCode, tuple] = {start: ()}
+        parents: dict[int, tuple] = {start: ()}
         queue = [start]
         for current in queue:
-            for v, w, i, t, successor in self.flips(current):
+            for v, place, i, t, successor in sorted(self.flips(current)):
                 if successor in parents:
                     continue
                 if len(parents) >= state_budget:
                     return Verdict.EXCEEDED, None
-                parents[successor] = (current, v, w, i, t)
+                parents[successor] = (current, v, v + place, i, t)
                 if found(successor):
                     return Verdict.YES, self._trace(parents, successor)
                 queue.append(successor)
         return Verdict.NO, None
 
-    def _trace(self, parents: dict, state: PackedCode) -> tuple[FlipMove, ...]:
+    def _trace(self, parents: dict, state: int) -> tuple[FlipMove, ...]:
         words = self.words
         trace = []
         while parents[state]:
@@ -201,22 +211,35 @@ class _Packing:
         return tuple(reversed(trace))
 
 
+# each packing keeps its masks and the words it has unpacked
+_packing = lru_cache(maxsize=8)(_Packing)
+
+
+def _packed(code: Code, alphabet: Alphabet) -> tuple[_Packing, int]:
+    """The packing of a code, checked on entry, and its state."""
+    packing = _packing(alphabet, _dim(make_code(code, alphabet)))
+    return packing, packing.pack(code)
+
+
 def twin_pairs(code: Code) -> list[tuple[Word, Word, int]]:
     """``(v, w, direction)`` per twin pair, ``v < w``, in sorted order of
-    ``v`` and then ``w``."""
-    if any(len(v) != _dim(code) for v in code):
-        raise ValueError("mixed dimensions in code")
-    packing = _Packing.of(code, inferred_alphabet(code))
-    state = packing.pack(code)
-    words = packing.words
-    return [(words[state[a]], words[state[b]], i) for a, b, i, _ in packing.twins(state)]
+    ``v`` and then ``w``; ``w`` has the primed letter where ``v`` has its pair's unprimed one."""
+    dim, words = _dim(code), set(code)
+    if any(len(v) != dim or STAR in v for v in code):
+        raise ValueError("mixed dimensions or jokers in code")
+    return [
+        (v, w, i)
+        for v in sorted(words)
+        for i in reversed(range(dim))
+        if not v[i] & 1 and (w := v[:i] + (v[i] + 1,) + v[i + 1 :]) in words
+    ]
 
 
 def neighbors(code: Code, alphabet: Alphabet) -> tuple[Code, ...]:
     """The codes one flip away, sorted."""
-    code = make_code(code, alphabet)
-    packing = _Packing.of(code, alphabet)
-    return tuple(map(packing.unpack, sorted(packing.successors(packing.pack(code)))))
+    packing, state = _packed(code, alphabet)
+    successors = {flip[-1] for flip in packing.flips(state)}
+    return tuple(map(packing.unpack, sorted(successors, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -242,9 +265,7 @@ def closure(
     ``state_budget`` states are kept; meeting one more ends the search
     unexhausted, with the states not fully expanded as frontier."""
     _check_budget(state_budget)
-    code = make_code(code, alphabet)
-    packing = _Packing.of(code, alphabet)
-    start = packing.pack(code)
+    packing, start = _packed(code, alphabet)
     visited = {start}
     queue = [start]
 
@@ -261,7 +282,8 @@ def closure(
         )
 
     for index, current in enumerate(queue):
-        for successor in sorted(packing.successors(current) - visited):
+        successors = {flip[-1] for flip in packing.flips(current)} - visited
+        for successor in sorted(successors, reverse=True):  # by code, ascending
             if len(visited) >= state_budget:
                 return result(len(queue) - index)
             visited.add(successor)
@@ -281,8 +303,7 @@ def find_flip_path(
     At most ``state_budget`` states are kept; meeting one more exceeds it."""
     if accept is None and goal is None:
         raise ValueError("need a goal code or an accept predicate")
-    start = make_code(start, alphabet)
-    packing = _Packing.of(start, alphabet)
+    packing, packed = _packed(start, alphabet)
     if accept is not None:
         found = lambda state: accept(packing.unpack(state))
     else:
@@ -291,7 +312,7 @@ def find_flip_path(
         # could collide with the start's
         target = packing.pack(goal) if _dim(goal) == _dim(start) else None
         found = lambda state: state == target
-    return packing.search(packing.pack(start), found, state_budget)
+    return packing.search(packed, found, state_budget)
 
 
 def replay(code: Code, trace: Sequence[FlipMove]) -> Code:
@@ -339,12 +360,10 @@ def is_locked_cover(
         )
     if not is_covered(word, code):
         raise ValueError("lock test requires a covering code")
-
-    def meets_below(state: Code) -> bool:
-        return sum(1 for v in state if overlap_weight(v, word) > 0) < threshold
-
-    verdict, _ = find_flip_path(
-        code, None, alphabet, state_budget, accept=meets_below
+    packing, start = _packed(code, alphabet)
+    meets = packing.meeting(word)
+    verdict, _ = packing.search(
+        start, lambda state: (state & meets).bit_count() < threshold, state_budget
     )
     if verdict == Verdict.YES:
         return Verdict.NO
@@ -363,16 +382,14 @@ def extract_word(
 
     Guaranteed to exist whenever at most four words meet the covered word;
     a search failure under that precondition is a defect, not a result."""
-    if not is_covered(word, code):
+    weights = [overlap_weight(v, word) for v in code]
+    if sum(weights) != 1 << len(word):
         raise ValueError("extraction requires a covering code")
-    if sum(1 for v in code if overlap_weight(v, word) > 0) > 4:
+    if len(weights) - weights.count(0) > 4:
         raise ValueError("extraction requires at most four meeting words")
-    code = make_code(code, alphabet)
-    packing = _Packing.of(code, alphabet)
-    target = pack_word(word, alphabet)
-    verdict, trace = packing.search(
-        packing.pack(code), lambda state: target in state, state_budget
-    )
+    packing, start = _packed(code, alphabet)
+    target = 1 << packing.top - pack_word(word, alphabet)
+    verdict, trace = packing.search(start, lambda state: state & target, state_budget)
     if verdict != Verdict.YES:
         raise RuntimeError("extraction search failed; this is a defect")
     assert trace is not None

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output determinism, file handling."""
 
 import ast
+import itertools
 import subprocess
 import sys
 import time
@@ -153,6 +154,15 @@ class TestClosure:
         out = files["tmp"] / "fam.pbx"
         assert run("closure", str(files["example_v"]), "--out", str(out)) == 0
         assert out.read_text().count("---") > 0
+
+    def test_oversized_word_space_refused(self, tmp_path, capsys):
+        # d=5 over five pairs: 10^5 words, one bit each per search state
+        path = tmp_path / "e5.pbx"
+        path.write_text(format_code(tuple(itertools.product((8, 9), repeat=5))))
+        assert run("closure", str(path)) == 2
+        assert "flip search too large: 100,000 words (cap 65,536)" in capsys.readouterr().err
+        assert run("check", str(path)) == 0
+        assert "twin pairs: 80" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["closure", "simplify", "strong-equiv"])

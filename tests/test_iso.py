@@ -352,6 +352,23 @@ class TestWalks:
             with pytest.raises(ValueError, match="generators reach"):
                 group.orbit(make_code([W("abb")]))
 
+    def test_element_walk_refuses_swaps_off_s_d(self):
+        """Generators that reach more than ``d! * prod |N_i|`` elements are
+        refused even when that count is the declared order: a swap whose
+        square is outside ``N`` (here ``N`` is trivial), and a swap that
+        does not normalise ``N`` (it carries a letter map at position 0 to
+        position 1, where ``N_1`` is trivial)."""
+        alphabet, fixed, flip = Alphabet(2), (0, 1, 2, 3), (1, 0, 2, 3)
+        twisted = element((1, 0), (flip, fixed))
+        plain = element((1, 0), (fixed, fixed))
+        first_only = element((0, 1), (flip, fixed))
+        for generators, order, reached in (((twisted,), 2, 4), ((plain, first_only), 4, 8)):
+            group = Group(alphabet, 2, generators, order=order)
+            with pytest.raises(ValueError, match=f"generators reach more than {order} elements"):
+                group.orbit(make_code([W("ab")]))
+            assert len(list(Group(alphabet, 2, generators).elements())) == reached
+        assert len(Group(alphabet, 2, (twisted,)).orbit(make_code([W("ab")]))) == 4
+
     def test_element_walk_refuses_other_generator_layouts(self):
         alphabet = Alphabet(2)
         flip = (1, 0, 2, 3)

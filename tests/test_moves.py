@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybox.alphabet import Alphabet, STAR
 from polybox.core import (
@@ -31,6 +32,7 @@ from polybox.moves import (
     FlipMove,
     Verdict,
     _merge_layer_moves,
+    _packing,
     apply_flip,
     closure,
     cut,
@@ -146,6 +148,8 @@ class TestNeighbors:
     def test_twin_pairs_refuse_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
             twin_pairs((W("a"), W("a'b")))
+        with pytest.raises(ValueError, match="jokers"):
+            twin_pairs(((0, STAR), (1, STAR)))
 
 
 SIMPLE_D2 = make_code(itertools.product((0, 1), repeat=2))
@@ -336,6 +340,11 @@ class TestExtraction:
         first, second = special_pair()
         with pytest.raises(ValueError, match="four"):
             extract_word(second, first[0], Alphabet(2))
+
+    def test_covering_precondition_comes_first(self):
+        five = _simple(3)[:5]  # five words meet bbb, with weight 5 of 8
+        with pytest.raises(ValueError, match="covering"):
+            extract_word(five, W("bbb"), Alphabet(2))
 
 
 class TestLayers:
@@ -626,3 +635,65 @@ class TestAgainstSlowTwins:
                 assert verdict == slow_is_locked_cover_code((word,), code, alphabet, threshold, budget)
                 verdicts.add(verdict)
         assert verdicts == set(Verdict)
+
+
+# the search states: one int per code, bit ``top - w`` for packed word w --
+
+@st.composite
+def equal_size_word_sets(draw):
+    alphabet = Alphabet(draw(st.integers(min_value=1, max_value=3)))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    space = list(itertools.product(alphabet.letters(), repeat=dim))
+    size = draw(st.integers(min_value=1, max_value=min(6, len(space))))
+    sets = st.lists(st.sampled_from(space), min_size=size, max_size=size, unique=True)
+    return alphabet, dim, tuple(sorted(draw(sets))), tuple(sorted(draw(sets)))
+
+
+def _simple_over(pair, dim):
+    return make_code(itertools.product((2 * pair, 2 * pair + 1), repeat=dim))
+
+
+class TestPackedStates:
+    @given(equal_size_word_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_descending_ints_are_ascending_codes(self, data):
+        alphabet, dim, first, second = data
+        packing = _packing(alphabet, dim)
+        a, b = packing.pack(first), packing.pack(second)
+        assert (a > b) == (first < second) and (a == b) == (first == second)
+        assert packing.unpack(a) == first
+
+    def test_budget_cuts_against_slow_closure(self):
+        """The order of visits shows only where a budget cuts a closure."""
+        rng, cut = Random(15), 0
+        for alphabet, code in _seeded_codes():
+            budget = rng.randrange(1, 200)
+            result = closure(code, alphabet, state_budget=budget)
+            assert (result.states, result.exhausted, result.frontier_count) == slow_closure(
+                code, alphabet, budget
+            )
+            cut += not result.exhausted
+        assert cut >= 10
+
+    @pytest.mark.parametrize("pair", [0, 7])
+    def test_largest_word_space_admitted(self, pair):
+        """Four positions over eight pairs: 2^16 words, the cap itself."""
+        alphabet, code = Alphabet(8), _simple_over(pair, 4)
+        assert neighbors(code, alphabet) == slow_neighbors(code, alphabet)
+        result = closure(code, alphabet, state_budget=60)
+        assert (result.states, result.exhausted, result.frontier_count) == slow_closure(
+            code, alphabet, 60
+        )
+
+    def test_larger_word_space_refused(self):
+        alphabet, code = Alphabet(5), _simple_over(4, 5)
+        assert len(slow_twin_pairs(code)) == 80
+        assert twin_pairs(code) == slow_twin_pairs(code)
+        for search in (
+            lambda: closure(code, alphabet),
+            lambda: neighbors(code, alphabet),
+            lambda: find_flip_path(code, code, alphabet),
+            lambda: is_locked_cover(code[0], code, alphabet),
+        ):
+            with pytest.raises(ValueError, match=r"too large: 100,000 words \(cap 65,536\)"):
+                search()
