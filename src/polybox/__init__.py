@@ -7,7 +7,7 @@ isomorphisms, :mod:`polybox.search` for enumeration and
 :mod:`polybox.catalog` for bundled reference data.
 """
 
-from .alphabet import Alphabet, STAR, complement, inferred_alphabet
+from .alphabet import Alphabet, STAR, inferred_alphabet
 from .core import (
     Code,
     Word,
@@ -27,7 +27,6 @@ from .core import (
     is_polybox_code,
     is_simple,
     make_code,
-    minimal_cover_within,
     overlap_weight,
     twin_pair_direction,
 )

@@ -20,10 +20,6 @@ STAR = -1
 _PAIR_CHARS = "abcdefgh"
 
 
-def complement(letter: int) -> int:
-    return letter if letter == STAR else letter ^ 1
-
-
 def letter_name(letter: int) -> str:
     if letter == STAR:
         return "*"

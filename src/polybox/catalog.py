@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .alphabet import Alphabet, inferred_alphabet
-from .core import Code, make_code
+from .core import Code
 from .moves import FlipMove
 from .pbxio import parse_code, parse_trace
 
@@ -23,10 +22,6 @@ class CatalogEntry:
     codes: tuple[Code, ...]
     traces: tuple[tuple[FlipMove, ...], ...]
     provenance: str
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return inferred_alphabet(w for c in self.codes for w in c)
 
 
 def _read(name: str) -> str:
@@ -99,14 +94,3 @@ def example_pair() -> tuple[Code, Code]:
 def example_trace() -> tuple[FlipMove, ...]:
     return entry("example-flip").traces[0]
 
-
-def embed(code: Code, dim: int, suffix_letter: int = 0) -> Code:
-    """Pad every word with a shared constant suffix.
-
-    Shared suffixes change nothing structural: dichotomy, twin pairs,
-    covering and equivalence all live in the original positions."""
-    base_dim = len(code[0])
-    if dim < base_dim:
-        raise ValueError("target dimension below the code's dimension")
-    suffix = (suffix_letter,) * (dim - base_dim)
-    return make_code(tuple(w + suffix for w in code))

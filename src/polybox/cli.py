@@ -91,8 +91,7 @@ def cmd_check(args) -> int:
     for v, w, direction in pairs:
         print(f"  {format_word(v)} {format_word(w)} (direction {direction + 1})")
     for i in range(dim):
-        counts = distribution(code, i, alphabet).counts
-        print(f"distribution at position {i + 1}: {counts}")
+        print(f"distribution at position {i + 1}: {distribution(code, i, alphabet)}")
     print(f"simple: {is_simple(code)}")
     witness = flat_witness(code)
     print(f"flat: {witness is not None}" + (
@@ -136,11 +135,7 @@ def cmd_strong_equiv(args) -> int:
 
 def cmd_dot_cover(args) -> int:
     alphabet, code = _load(args.file, args.pairs)
-    try:
-        word = parse_word(args.word)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    word = parse_word(args.word)
     if not is_covered(word, code):
         print(f"{args.word} is not covered (weight {cover_weight(word, code)} "
               f"of {1 << len(word)})", file=sys.stderr)
@@ -166,12 +161,7 @@ def cmd_closure(args) -> int:
 def cmd_canon(args) -> int:
     alphabet, code = _load(args.file, args.pairs)
     if args.stabilize:
-        try:
-            word = parse_word(args.stabilize)
-        except ParseError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_ERROR
-        group = word_stabilizer(word, alphabet)
+        group = word_stabilizer(parse_word(args.stabilize), alphabet)
         canonical = canonical_form(code, group)
         print(format_code(canonical, header="canonical under the word stabilizer"),
               end="")
@@ -188,11 +178,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    try:
-        word = parse_word(args.word)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    word = parse_word(args.word)
     alphabet = Alphabet(args.pairs)
     resume = None
     if args.resume:
@@ -225,11 +211,7 @@ def cmd_covers(args) -> int:
 def cmd_find_second(args) -> int:
     alphabet_w, known = _load(args.file_w, args.pairs)
     _, partial = _load(args.partial)
-    try:
-        family = find_second_codes(known, partial, alphabet_w, args.min_density)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    family = find_second_codes(known, partial, alphabet_w, args.min_density)
     print(f"codes found: {len(family)}")
     if family:
         print(format_family(family), end="")
@@ -254,12 +236,8 @@ def cmd_simplify(args) -> int:
 
 def cmd_replay(args) -> int:
     _, code = _load(args.seed)
-    try:
-        trace = parse_trace(Path(args.trace).read_text())
-        end = replay(code, trace)
-    except (ParseError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    trace = parse_trace(Path(args.trace).read_text())
+    end = replay(code, trace)
     print(format_code(end, header=f"after {len(trace)} moves"), end="")
     if args.expect:
         _, expected = _load(args.expect)
@@ -299,11 +277,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_repro(args) -> int:
     start = time.perf_counter()
-    try:
-        report = run_job(args.job, long=args.long)
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ERROR
+    report = run_job(args.job, long=args.long)
     elapsed = time.perf_counter() - start
     for line in report.lines:
         print(line)

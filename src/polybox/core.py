@@ -13,8 +13,7 @@ a code exactly when its accumulated weight reaches ``2**d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .alphabet import MAX_DIM, STAR, Alphabet, letter_name
 
@@ -203,14 +202,6 @@ def common_density(first: Code, second: Code) -> int:
     return min(density(first, second), density(second, first))
 
 
-def minimal_cover_within(w: Word, code: Code) -> Code:
-    """The words of a covering code that actually meet ``w``; they cover it
-    on their own."""
-    if not is_covered(w, code):
-        raise ValueError(f"{format_plain(w)} is not covered")
-    return tuple(v for v in code if overlap_weight(v, w) > 0)
-
-
 def make_code(words: Iterable[Word], alphabet: Alphabet | None = None) -> Code:
     """Canonical (sorted) code; raises on jokers, duplicates or a
     non-dichotomous pair."""
@@ -226,9 +217,10 @@ def make_code(words: Iterable[Word], alphabet: Alphabet | None = None) -> Code:
             raise ValueError(f"duplicate word {format_plain(cur)}")
         if len(prev) != len(cur):
             raise ValueError("mixed dimensions in code")
+    # the words are checked above, so each pair needs only the complement test
     for i, v in enumerate(out):
         for w in out[i + 1 :]:
-            if not is_dichotomous(v, w):
+            if not any(a == b ^ 1 for a, b in zip(v, w)):
                 raise ValueError(
                     f"not dichotomous: {format_plain(v)} / {format_plain(w)}"
                 )
@@ -249,45 +241,24 @@ def is_cube_tiling_code(code: Code) -> bool:
 
 # binary codes -----------------------------------------------------------
 
-def _check_bits(bits: Mapping[int, int]) -> None:
-    for s in bits:
-        if bits[s] + bits.get(s ^ 1, -1) != 1:
-            raise ValueError(f"bit map must split the pair of {letter_name(s)}")
-
-
-def binary_code(v: Word, bits: Mapping[int, int] | None = None) -> tuple[int, ...]:
-    """Per-position bit of each letter; unprimed letters map to 0 by
-    convention unless a custom complement-splitting map is supplied."""
+def binary_code(v: Word) -> tuple[int, ...]:
+    """Per-position bit of each letter: 0 for unprimed, 1 for primed."""
     _require_proper(v)
-    if bits is None:
-        return tuple(s & 1 for s in v)
-    _check_bits(bits)
-    return tuple(bits[s] for s in v)
+    return tuple(s & 1 for s in v)
 
 
-def binary_code_set(
-    code: Iterable[Word], bits: Mapping[int, int] | None = None
-) -> frozenset[tuple[int, ...]]:
+def binary_code_set(code: Iterable[Word]) -> frozenset[tuple[int, ...]]:
     """On a code this is injective: dichotomy forces a differing bit."""
-    return frozenset(binary_code(v, bits) for v in code)
+    return frozenset(binary_code(v) for v in code)
 
 
 # distributions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Distribution:
-    """Counts of each letter pair at one position: ``counts[j]`` is the
-    pair (number of words with letter 2j, number with 2j+1)."""
-
-    position: int
-    counts: tuple[tuple[int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(a + b for a, b in self.counts)
-
-
-def distribution(code: Code, position: int, alphabet: Alphabet) -> Distribution:
+def distribution(
+    code: Code, position: int, alphabet: Alphabet
+) -> tuple[tuple[int, int], ...]:
+    """Counts of each letter pair at one position: entry ``j`` is the pair
+    (number of words with letter 2j, number with 2j+1)."""
     counts = []
     for s in alphabet.unprimed():
         counts.append(
@@ -296,7 +267,7 @@ def distribution(code: Code, position: int, alphabet: Alphabet) -> Distribution:
                 sum(1 for v in code if v[position] == s ^ 1),
             )
         )
-    return Distribution(position=position, counts=tuple(counts))
+    return tuple(counts)
 
 
 def pairs_at(code: Iterable[Word], position: int) -> frozenset[int]:

@@ -92,21 +92,6 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(sigma=sigma, maps=maps)
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    dim = len(g.sigma)
-    sigma_inv = [0] * dim
-    for i, j in enumerate(g.sigma):
-        sigma_inv[j] = i
-    maps = []
-    for j in range(dim):
-        forward = g.maps[sigma_inv[j]]
-        back = [0] * len(forward)
-        for s, t in enumerate(forward):
-            back[t] = s
-        maps.append(tuple(back))
-    return GroupElement(sigma=tuple(sigma_inv), maps=tuple(maps))
-
-
 class Group:
     """A finite group of code isomorphisms.
 

@@ -249,7 +249,6 @@ class ClosureResult:
     states: frozenset[Code]
     exhausted: bool
     frontier_count: int
-    state_budget: int
 
     def sorted_states(self) -> tuple[Code, ...]:
         return tuple(sorted(self.states))
@@ -278,7 +277,6 @@ def closure(
             states=states,
             exhausted=not frontier,
             frontier_count=frontier,
-            state_budget=state_budget,
         )
 
     for index, current in enumerate(queue):
@@ -433,6 +431,10 @@ def _lift_move(move: FlipMove, position: int, letter: int) -> FlipMove:
     )
 
 
+# layer merges one simplification may take before it gives up as EXCEEDED
+MAX_MERGES = 64
+
+
 @dataclass(frozen=True)
 class SimplifyResult:
     verdict: Verdict
@@ -444,7 +446,6 @@ def simplify_tiling(
     code: Code,
     alphabet: Alphabet,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    max_merges: int = 64,
 ) -> SimplifyResult:
     """Flip a cube tiling code into a simple one, layer by layer.
 
@@ -457,7 +458,7 @@ def simplify_tiling(
         raise ValueError("layer simplification applies to cube tiling codes")
     state = make_code(code)
     trace: list[FlipMove] = []
-    for _ in range(max_merges):
+    for _ in range(MAX_MERGES):
         if is_simple(state):
             return SimplifyResult(Verdict.YES, state, tuple(trace))
         dim = len(state[0])

@@ -1,10 +1,10 @@
 """Text formats.
 
 Code files (``.pbx``): UTF-8, ``#`` comment lines, one word per line,
-letters ``a``..``h`` with a trailing apostrophe for the complement, ``*``
-only where a format explicitly allows jokers.  Dimension comes from the
-first word and the alphabet from the letters used.  Codes always
-serialize in sorted order.  Families separate codes with ``---`` lines.
+letters ``a``..``h`` with a trailing apostrophe for the complement; every
+parser here refuses the joker ``*``.  Dimension comes from the first word
+and the alphabet from the letters used.  Codes always serialize in sorted
+order.  Families separate codes with ``---`` lines.
 
 Flip traces: one move per line, ``i: v w -> r q`` with 1-based direction
 ``i``; replaying a trace against its seed code reproduces the recorded
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .alphabet import Alphabet, inferred_alphabet, parse_letter, STAR
+from .alphabet import Alphabet, inferred_alphabet, parse_letter
 from .core import Code, Word, format_plain as format_word, make_code
 from .moves import FlipMove, flip_move
 
@@ -27,17 +27,13 @@ class ParseError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def parse_word(text: str, allow_star: bool = False, line: int | None = None) -> Word:
+def parse_word(text: str, line: int | None = None) -> Word:
     letters = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "*":
-            if not allow_star:
-                raise ParseError("joker not allowed here", line)
-            letters.append(STAR)
-            i += 1
-            continue
+        # parse_letter reads the joker, which no stored word holds
+        if text[i] == "*":
+            raise ParseError("joker not allowed here", line)
         take = 2 if i + 1 < len(text) and text[i + 1] == "'" else 1
         try:
             letters.append(parse_letter(text[i : i + take]))
@@ -79,31 +75,9 @@ def parse_code(text: str) -> tuple[Alphabet, Code]:
     return inferred_alphabet(code), code
 
 
-def format_family(family: Iterable[Code], header: str | None = None) -> str:
+def format_family(family: Iterable[Code]) -> str:
     blocks = [format_code(code).rstrip("\n") for code in family]
-    head = f"# {header}\n" if header else ""
-    return head + "\n---\n".join(blocks) + "\n"
-
-
-def parse_family(text: str) -> tuple[Alphabet, tuple[Code, ...]]:
-    chunks: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        if raw.strip() == "---":
-            chunks.append([])
-        else:
-            chunks[-1].append(raw)
-    family = []
-    for chunk in chunks:
-        body = "\n".join(chunk)
-        if not body.strip() or all(
-            l.strip().startswith("#") or not l.strip() for l in chunk
-        ):
-            continue
-        _, code = parse_code(body)
-        family.append(code)
-    if not family:
-        raise ParseError("no codes in family file")
-    return inferred_alphabet(w for c in family for w in c), tuple(family)
+    return "\n---\n".join(blocks) + "\n"
 
 
 def format_trace(trace: Sequence[FlipMove]) -> str:

@@ -192,13 +192,7 @@ def job_d2_connectivity(long: bool) -> JobReport:
     closure of the simple seed reaching all of them."""
     report = JobReport("d2-connectivity", True)
     alphabet = Alphabet(2)
-    words = list(itertools.product(alphabet.letters(), repeat=2))
-    census = set()
-    for combo in itertools.combinations(words, 4):
-        if all(
-            is_dichotomous(a, b) for a, b in itertools.combinations(combo, 2)
-        ):
-            census.add(tuple(sorted(combo)))
+    census = _tiling_census(alphabet, 2)
     report.check("tiling codes (regression)", D2_TILING_CODE_COUNT, len(census))
     seed = make_code([(0, 0), (0, 1), (1, 0), (1, 1)])
     closed = closure(seed, alphabet)

@@ -655,12 +655,15 @@ def cover_bound(ctx: PruneContext) -> int:
 
 # rebuilding the second code -----------------------------------------------
 
+# candidate codes (the product of the slot sizes) one search may try
+MAX_SECOND_CANDIDATES = 10**6
+
+
 def find_second_codes(
     known: Code,
     partial: Code,
     alphabet: Alphabet,
     min_density: int = 5,
-    max_candidates: int = 10**6,
 ) -> tuple[Code, ...]:
     """Codes equivalent to ``known`` that contain ``partial``.
 
@@ -695,7 +698,7 @@ def find_second_codes(
     total = 1
     for slot in slots:
         total *= len(slot)
-    if total > max_candidates:
+    if total > MAX_SECOND_CANDIDATES:
         raise ValueError(f"slot product {total} exceeds the candidate budget")
     out = []
     base = tuple(sorted(partial))

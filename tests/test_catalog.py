@@ -1,4 +1,4 @@
-"""Bundled data: transcription locks and the dimension embedder."""
+"""Bundled data: transcription locks."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from polybox.core import (
     is_polybox_code,
 )
 from polybox.catalog import (
-    embed,
     entries,
     entry,
     example_pair,
@@ -46,21 +45,6 @@ class TestSpecialPair:
         assert are_equivalent(first, second)
         assert binary_code_set(first) == binary_code_set(second)
         assert common_density(first, second) >= 5
-
-    def test_embedding_preserves_structure(self):
-        first, second = special_pair()
-        for dim in (5, 6):
-            lifted_first = embed(first, dim)
-            lifted_second = embed(second, dim)
-            assert is_polybox_code(lifted_first)
-            assert not twin_pairs(lifted_first)
-            assert are_equivalent(lifted_first, lifted_second)
-            assert are_disjoint(lifted_first, lifted_second)
-
-    def test_embedding_rejects_shrinking(self):
-        first, _ = special_pair()
-        with pytest.raises(ValueError):
-            embed(first, 3)
 
 
 class TestSmallCovers:

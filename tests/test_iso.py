@@ -35,7 +35,6 @@ from polybox.iso import (
     full_group,
     greedy_relabel,
     identity,
-    inverse,
     word_stabilizer,
 )
 from polybox.pbxio import parse_word
@@ -65,16 +64,6 @@ class TestGroupLaws:
         g, h = _random_element(group, rng), _random_element(group, rng)
         v = tuple(rng.randrange(alphabet.size) for _ in range(dim))
         assert apply_word(compose(g, h), v) == apply_word(g, apply_word(h, v))
-
-    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_inverse_undoes(self, seed, pairs, dim):
-        rng = Random(seed)
-        alphabet = Alphabet(pairs)
-        group = full_group(alphabet, dim)
-        g = _random_element(group, rng)
-        v = tuple(rng.randrange(alphabet.size) for _ in range(dim))
-        assert apply_word(inverse(g), apply_word(g, v)) == v
 
     def test_identity_fixes_codes(self):
         code, _ = special_pair()

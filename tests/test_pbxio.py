@@ -1,20 +1,18 @@
-"""Text formats: .pbx codes, families, flip traces, error reporting."""
+"""Text formats: .pbx codes, flip traces, error reporting."""
 
 import pytest
 from hypothesis import given, settings
 
-from polybox.alphabet import Alphabet, STAR
+from polybox.alphabet import Alphabet
 from polybox.core import make_code
 from polybox.catalog import example_pair, example_trace
 from polybox.moves import replay
 from polybox.pbxio import (
     ParseError,
     format_code,
-    format_family,
     format_trace,
     format_word,
     parse_code,
-    parse_family,
     parse_trace,
     parse_word,
 )
@@ -31,9 +29,9 @@ class TestWords:
             assert format_word(parse_word(text)) == text
 
     def test_star_needs_permission(self):
-        with pytest.raises(ParseError):
+        # no parser grants it: the joker is never part of a stored word
+        with pytest.raises(ParseError, match="joker not allowed here"):
             parse_word("a*b")
-        assert parse_word("a*b", allow_star=True) == (0, STAR, 2)
 
     def test_garbage_rejected(self):
         for bad in ("", "z", "a''", "'a"):
@@ -75,18 +73,6 @@ class TestCodes:
     def test_empty_rejected(self):
         with pytest.raises(ParseError, match="no words"):
             parse_code("# nothing here\n")
-
-
-class TestFamilies:
-    def test_round_trip(self):
-        first, second = example_pair()
-        text = format_family([first, second], header="both")
-        _, family = parse_family(text)
-        assert family == (first, second)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParseError):
-            parse_family("---\n---\n")
 
 
 class TestTraces:
