@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success / yes, 1 no / mismatch, 2 usage or validation
+Exit codes: 0 success / yes, 1 no / mismatch, 2 usage, validation or file
 error, 3 search budget exceeded.  All output is deterministic and codes
 are always printed in sorted order.
 """
@@ -24,7 +24,7 @@ from .core import (
     are_equivalent,
     are_disjoint,
 )
-from .iso import canonical_form, full_group, greedy_relabel, word_stabilizer
+from .iso import Group, canonical_form, greedy_relabel, word_stabilizer
 from .moves import (
     DEFAULT_STATE_BUDGET,
     Verdict,
@@ -58,9 +58,6 @@ EXIT_BUDGET = 3
 def _load(path: str, pairs: int | None = None):
     try:
         alphabet, code = parse_code(Path(path).read_text())
-    except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
     except ParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
@@ -166,7 +163,7 @@ def cmd_canon(args) -> int:
         print(format_code(canonical, header="canonical under the word stabilizer"),
               end="")
     elif alphabet.pair_count <= 2:
-        canonical = canonical_form(code, full_group(alphabet, len(code[0])))
+        canonical = canonical_form(code, Group(alphabet, len(code[0])))
         print(format_code(canonical, header="canonical under the full group"), end="")
     else:
         canonical = greedy_relabel(code)
@@ -396,6 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if exc.code is not None else EXIT_ERROR
     except ValueError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:  # a file, or a closed pipe, which has no name
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"{where}{exc.strerror}", file=sys.stderr)
         return EXIT_ERROR
 
 

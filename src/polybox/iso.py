@@ -1,30 +1,31 @@
 """Isomorphisms of codes: position permutations composed with per-position
 letter bijections that respect complementation.
 
-Canonical forms are exact lexicographic orbit minima.  Orbits of groups
-with generators are walked over packed words (``core.pack_code``: a word
-is its mixed-radix number over the alphabet's letters, so a code is a
+``Group(alphabet, dim, word)`` is the group of isomorphisms fixing a word
+(all of them without one), built from the word as ``S_d`` over the
+per-position letter-map groups.  Canonical forms are exact lexicographic
+orbit minima.  Orbits are walked over packed words (``core.pack_code``: a
+word is its mixed-radix number over the alphabet's letters, so a code is a
 sorted tuple of ints in the same lex order), with one table per step
 element from packed word to packed image, filled as walks meet words:
 
 * the element walk visits each group element once, each from the one
-  before by one table, planned from the layout of the generators
+  before by one table, planned from the group's layout
   (``Group._walk_steps``): ``order`` images per orbit;
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
 
-Groups of known order up to ``ELEMENT_WALK_MAX_ORDER`` take the element
-walk, the rest the orbit walk; both give the same orbit.
+Groups of up to ``ELEMENT_WALK_MAX_ORDER`` elements take the element walk,
+the rest the orbit walk; both give the same orbit.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .alphabet import STAR, Alphabet, letter_name
 from .core import Code, Word, _DigitSum, pack_code, place_values, word_table
@@ -67,13 +68,6 @@ def element(sigma: Iterable[int], maps: Iterable[Iterable[int]]) -> GroupElement
     return GroupElement(sigma=sigma, maps=maps)
 
 
-def identity(alphabet: Alphabet, dim: int) -> GroupElement:
-    return GroupElement(
-        sigma=tuple(range(dim)),
-        maps=(tuple(alphabet.letters()),) * dim,
-    )
-
-
 def apply_word(g: GroupElement, v: Word) -> Word:
     return tuple(
         STAR if v[g.sigma[i]] == STAR else g.maps[i][v[g.sigma[i]]]
@@ -85,48 +79,68 @@ def apply_code(g: GroupElement, code: Code) -> Code:
     return tuple(sorted(apply_word(g, v) for v in code))
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """The element acting as ``g`` after ``h``."""
-    sigma = tuple(map(h.sigma.__getitem__, g.sigma))
-    maps = tuple(tuple(map(m.__getitem__, h.maps[j])) for m, j in zip(g.maps, g.sigma))
-    return GroupElement(sigma=sigma, maps=maps)
-
-
 class Group:
-    """A finite group of code isomorphisms.
+    """The isomorphisms of ``dim``-position codes over the alphabet that fix
+    ``word``, or all of them when ``word`` is None.
 
-    Carries generators (for orbit walks) and optionally a lazy element
-    enumerator; ``order`` is exact when known.
+    Its layout is ``S_d`` over the normal product ``N`` of per-position
+    letter-map groups ``N_i``: ``N_i`` holds the complement-respecting maps
+    that fix the word's letter at position ``i`` (all of them without a
+    word), generated by one orientation flip of the first pair they move
+    and the adjacent swaps of the pairs they move (``factors[i]``); the
+    position swaps ``swaps[k]`` exchange positions ``k`` and ``k + 1`` and
+    carry each of the two letters of the word onto the other.  Every
+    position permutation so extends to an element, and ``order`` is
+    ``d! * prod |N_i|``.
 
-    A group whose ``order`` is known and at most ``ELEMENT_WALK_MAX_ORDER``
-    is walked element by element, along steps planned when it first walks
-    and kept for its life; others, such as the three-pair d=5 word
-    stabilizer (3,932,160 elements), breadth-first over the orbit.  Their
-    tables, per step or per generator, and the table that unpacks words are
-    kept too, but hold only the words met, never the whole word space.
+    A group of at most ``ELEMENT_WALK_MAX_ORDER`` elements is walked element
+    by element, along steps planned when it first walks and kept for its
+    life; others, such as the three-pair d=5 word stabilizer (3,932,160
+    elements), breadth-first over the orbit with the swaps and the factors
+    as generators.  Their tables, per step or per generator, and the table
+    that unpacks words are kept too, but hold only the words met, never the
+    whole word space.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        dim: int,
-        generators: tuple[GroupElement, ...],
-        elements_factory: Callable[[], Iterator[GroupElement]] | None = None,
-        order: int | None = None,
-    ) -> None:
+    def __init__(self, alphabet: Alphabet, dim: int, word: Word | None = None) -> None:
         self.alphabet = alphabet
         self.dim = dim
-        self.generators = generators
-        self._elements_factory = elements_factory
-        self.order = order
+        self.word = word
+        fixed = _identity_map(alphabet)
+        self.swaps = []
+        for k in range(dim - 1):
+            maps = [fixed] * dim
+            if word is not None:
+                maps[k] = _transport(alphabet, word[k + 1], word[k])
+                maps[k + 1] = _transport(alphabet, word[k], word[k + 1])
+            self.swaps.append(GroupElement(sigma=_swap(dim, k), maps=tuple(maps)))
+        self.factors = []
+        for i in range(dim):
+            free = [p for p in range(alphabet.pair_count) if word is None or p != word[i] >> 1]
+            factor = [_orientation_flip(alphabet, p) for p in free[:1]]
+            factor += [_pair_swap(alphabet, p, q) for p, q in zip(free, free[1:])]
+            self.factors.append(factor)
+        self.generators = self.swaps + [
+            _position_element(alphabet, dim, i, m)
+            for i, factor in enumerate(self.factors) for m in factor
+        ]
+        free_count = alphabet.pair_count - (word is not None)
+        self.order = math.factorial(dim) * (math.factorial(free_count) << free_count) ** dim
         self._tables: list[_DigitSum] | None = None
         self._words: _DigitSum | None = None
         self._steps: list[_DigitSum] | None = None
 
     def elements(self) -> Iterator[GroupElement]:
-        if self._elements_factory is not None:
-            return self._elements_factory()
-        return iter(_closure(identity(self.alphabet, self.dim), self.generators, compose))
+        """Every element, each position permutation with every choice of
+        letter maps that carries the permuted word back onto the word."""
+        letter_maps = list(_pair_preserving_maps(self.alphabet))
+        for sigma in itertools.permutations(range(self.dim)):
+            choices = [
+                [m for m in letter_maps if self.word is None or m[self.word[j]] == self.word[i]]
+                for i, j in enumerate(sigma)
+            ]
+            for maps in itertools.product(*choices):
+                yield GroupElement(sigma=sigma, maps=maps)
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
@@ -134,7 +148,7 @@ class Group:
 
     def _packed_orbit(self, code: tuple[int, ...]) -> Collection[tuple[int, ...]]:
         """All images of a packed code, packed (the element walk's repeat)."""
-        if self.order is not None and self.order <= ELEMENT_WALK_MAX_ORDER:
+        if self.order <= ELEMENT_WALK_MAX_ORDER:
             return self._element_walk(code)
         return self._orbit_walk(code)
 
@@ -188,59 +202,27 @@ class Group:
 
     def _walk_steps(self) -> list[_DigitSum]:
         """``order - 1`` tables that carry each element to the next from the
-        identity, meeting each once.  Each generator must act at one position
-        or swap adjacent positions, all swaps present.  The group must be
-        ``S_d`` over the normal product ``N`` of the letter-map groups ``N_i``
-        at each position, as ``word_stabilizer`` and ``full_group`` build it:
-        the swaps are checked to normalise ``N`` and to meet the relations of
-        ``S_d`` modulo ``N``, and ``d! * |N|`` to equal the order.  ``N`` is
-        walked like an odometer over a listing of each ``N_i``: a step
-        left-multiplies one position's next entry over its last, so a rerun of
-        the lower positions' walk covers them wherever it starts.  Between
-        walks of ``N``, swaps in Steinhaus-Johnson-Trotter order step through
-        its cosets."""
+        identity, meeting each once.  ``N`` is walked like an odometer over a
+        listing of each ``N_i``: a step left-multiplies one position's next
+        entry over its last, so a rerun of the lower positions' walk covers
+        them wherever it starts.  The swaps normalise ``N`` and meet the
+        relations of ``S_d`` modulo ``N``, so between walks of ``N``, swaps in
+        Steinhaus-Johnson-Trotter order step through its cosets."""
         if self._steps is None:
-            dim, fixed = self.dim, _identity_map(self.alphabet)
-            swaps, factors = {}, [[] for _ in range(dim)]
-            for g in self.generators:
-                if g.sigma != tuple(range(dim)):
-                    swaps[g.sigma] = g
-                    continue
-                moved = [i for i in range(dim) if g.maps[i] != fixed]
-                if len(moved) > 1:
-                    raise ValueError("element walk generators must act at one position")
-                for i in moved:
-                    factors[i].append(g.maps[i])
-            if swaps.keys() != {_swap(dim, k) for k in range(dim - 1)}:
-                raise ValueError("element walk generators must swap adjacent positions")
+            fixed = _identity_map(self.alphabet)
             after = lambda g, m: tuple(map(g.__getitem__, m))
-            listings = [_closure(fixed, factor, after) for factor in factors]
-            count = math.factorial(dim) * math.prod(map(len, listings))
-            ordered = [swaps[_swap(dim, k)] for k in range(dim - 1)]
-            # t normalises N when its map at j conjugates N_sigma[j] into N_j
-            members = [set(listing) for listing in listings]
-            coxeter = [
-                functools.reduce(compose, [compose(t, u)] * {k: 1, k + 1: 3}.get(j, 2))
-                for k, t in enumerate(ordered) for j, u in enumerate(ordered[k:], k)
-            ]
-            if not all(
-                after(after(t.maps[j], m), map(t.maps[j].index, fixed)) in members[j]
-                for t in ordered for j in range(dim) for m in factors[t.sigma[j]]
-            ) or not all(all(map(set.__contains__, members, g.maps)) for g in coxeter):
-                count = f"more than {count}"  # never the order
-            if count != self.order:
-                raise ValueError(f"generators reach {count} elements, not the order {self.order}")
             walk, tables = [], {}  # a listing repeats steps: one table each
-            for i, listing in enumerate(listings):
+            for i, factor in enumerate(self.factors):
+                listing = _closure(fixed, factor, after)
                 lower, walk = walk, list(walk)
                 for x in range(1, len(listing)):
                     step = (i, after(listing[x], map(listing[x - 1].index, fixed)))
                     if step not in tables:
-                        tables[step] = self._table(_position_element(self.alphabet, dim, *step))
+                        tables[step] = self._table(_position_element(self.alphabet, self.dim, *step))
                     walk += [tables[step]] + lower
             self._steps = list(walk)
-            swap_tables = [self._table(t) for t in ordered]
-            for k in _sjt_swaps(dim):
+            swap_tables = [self._table(t) for t in self.swaps]
+            for k in _sjt_swaps(self.dim):
                 self._steps += [swap_tables[k]] + walk
         return self._steps
 
@@ -326,91 +308,16 @@ def _pair_preserving_maps(alphabet: Alphabet) -> Iterator[tuple[int, ...]]:
             yield tuple(m)
 
 
-def _constrained_maps(
-    alphabet: Alphabet, source: int, target: int
-) -> Iterator[tuple[int, ...]]:
-    """All complement-respecting bijections sending ``source`` to ``target``."""
-    for m in _pair_preserving_maps(alphabet):
-        if m[source] == target:
-            yield m
-
-
-def full_group(alphabet: Alphabet, dim: int) -> Group:
-    generators = []
-    for i in range(dim - 1):
-        generators.append(GroupElement(sigma=_swap(dim, i), maps=(_identity_map(alphabet),) * dim))
-    for i in range(dim):
-        generators.append(_position_element(alphabet, dim, i, _orientation_flip(alphabet, 0)))
-        for p in range(alphabet.pair_count - 1):
-            generators.append(
-                _position_element(alphabet, dim, i, _pair_swap(alphabet, p, p + 1))
-            )
-
-    def enumerate_all() -> Iterator[GroupElement]:
-        letter_maps = list(_pair_preserving_maps(alphabet))
-        for sigma in itertools.permutations(range(dim)):
-            for maps in itertools.product(letter_maps, repeat=dim):
-                yield GroupElement(sigma=sigma, maps=maps)
-
-    per_position = math.factorial(alphabet.pair_count) * 2**alphabet.pair_count
-    return Group(
-        alphabet,
-        dim,
-        generators=tuple(generators),
-        elements_factory=enumerate_all,
-        order=math.factorial(dim) * per_position**dim,
-    )
-
-
 def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
-    """All isomorphisms fixing the word.
-
-    Every position permutation extends to a stabilizing element; the letter
-    maps are then constrained to carry the permuted letter back."""
+    """All isomorphisms fixing the word, refusing letters outside the
+    alphabet (the word may come from outside the program)."""
     for s in word:
         if s not in alphabet:
             raise ValueError(
                 f"letter {letter_name(s)} of the stabilized word is outside "
                 f"the alphabet of {alphabet.pair_count} pairs"
             )
-    dim = len(word)
-    generators = []
-    for i in range(dim - 1):
-        maps = [_identity_map(alphabet)] * dim
-        maps[i] = _transport(alphabet, word[i + 1], word[i])
-        maps[i + 1] = _transport(alphabet, word[i], word[i + 1])
-        generators.append(GroupElement(sigma=_swap(dim, i), maps=tuple(maps)))
-    for i in range(dim):
-        fixed_pair = word[i] >> 1
-        others = [p for p in range(alphabet.pair_count) if p != fixed_pair]
-        for p in others:
-            generators.append(
-                _position_element(alphabet, dim, i, _orientation_flip(alphabet, p))
-            )
-        for p, q in zip(others, others[1:]):
-            generators.append(
-                _position_element(alphabet, dim, i, _pair_swap(alphabet, p, q))
-            )
-
-    def enumerate_all() -> Iterator[GroupElement]:
-        for sigma in itertools.permutations(range(dim)):
-            constrained = [
-                list(_constrained_maps(alphabet, word[sigma[i]], word[i]))
-                for i in range(dim)
-            ]
-            for maps in itertools.product(*constrained):
-                yield GroupElement(sigma=sigma, maps=maps)
-
-    per_position = math.factorial(alphabet.pair_count - 1) * 2 ** (
-        alphabet.pair_count - 1
-    )
-    return Group(
-        alphabet,
-        dim,
-        generators=tuple(generators),
-        elements_factory=enumerate_all,
-        order=math.factorial(dim) * per_position**dim,
-    )
+    return Group(alphabet, len(word), word)
 
 
 def canonical_form(code: Code, group: Group) -> Code:

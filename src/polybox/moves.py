@@ -291,26 +291,19 @@ def closure(
 
 def find_flip_path(
     start: Code,
-    goal: Code | None,
+    goal: Code,
     alphabet: Alphabet,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    accept: Callable[[Code], bool] | None = None,
 ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
-    """Shortest flip sequence from ``start`` to ``goal`` (or to any state
-    the ``accept`` predicate likes).  The returned trace replays exactly.
-    At most ``state_budget`` states are kept; meeting one more exceeds it."""
-    if accept is None and goal is None:
-        raise ValueError("need a goal code or an accept predicate")
+    """Shortest flip sequence from ``start`` to ``goal``.  The returned trace
+    replays exactly.  At most ``state_budget`` states are kept; meeting one
+    more exceeds it."""
     packing, packed = _packed(start, alphabet)
-    if accept is not None:
-        found = lambda state: accept(packing.unpack(state))
-    else:
-        goal = make_code(goal, alphabet)
-        # a goal of another dimension is never met, and its packed words
-        # could collide with the start's
-        target = packing.pack(goal) if _dim(goal) == _dim(start) else None
-        found = lambda state: state == target
-    return packing.search(packed, found, state_budget)
+    goal = make_code(goal, alphabet)
+    # a goal of another dimension is never met, and its packed words could
+    # collide with the start's
+    target = packing.pack(goal) if _dim(goal) == _dim(start) else None
+    return packing.search(packed, lambda state: state == target, state_budget)
 
 
 def replay(code: Code, trace: Sequence[FlipMove]) -> Code:

@@ -203,6 +203,22 @@ def test_validation_errors_exit_2(files, capsys, argv, message):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.parametrize("argv, path, reason", [
+    (["check", "{data}"], "{data}", "Is a directory"),
+    (["replay", "{example_v}", "{tmp}/missing.trace"], "{tmp}/missing.trace", "No such file or directory"),
+    (
+        ["closure", "{example_v}", "--out", "{tmp}/missing-dir/f.pbx"],
+        "{tmp}/missing-dir/f.pbx",
+        "No such file or directory",
+    ),
+])
+def test_file_errors_exit_2(files, capsys, argv, path, reason):
+    # main() reports every OSError in one line naming the file
+    paths = {name: str(path) for name, path in files.items()} | {"data": str(DATA)}
+    assert run(*[arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"{path.format(**paths)}: {reason}\n"
+
+
 class TestCovers:
     def test_class_count(self, capsys):
         assert run("covers", "--word", "bbbbb", "--size", "7", "--pairs", "2") == 0
@@ -391,6 +407,29 @@ TEST_ONLY_NAMES = {
 }
 
 
+def _uses(node, local):
+    """Names the node loads, reads as attributes or imports, leaving out a
+    name loaded where an enclosing function binds it: that reads the local,
+    not the module-level name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | {
+            sub.arg if isinstance(sub, ast.arg) else sub.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.arg) or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+        }
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        used = set() if node.id in local else {node.id}
+    elif isinstance(node, ast.Attribute):
+        used = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        used = {alias.name for alias in node.names}
+    else:
+        used = set()
+    for child in ast.iter_child_nodes(node):
+        used |= _uses(child, local)
+    return used
+
+
 def test_every_public_name_is_referenced():
     # a public function or class that nothing but its tests reaches is
     # surface to maintain without a user; delete it or list it above
@@ -403,13 +442,7 @@ def test_every_public_name_is_referenced():
                 defined.append((node.name, f"{path.parent.name}/{path.name}:{node.lineno}"))
         if path.name == "__init__.py":
             continue  # a re-export is not a use
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+        referenced |= _uses(tree, frozenset())
     unused = sorted(
         f"{where}: {name}" for name, where in defined
         if name not in referenced and name not in TEST_ONLY_NAMES

@@ -22,19 +22,18 @@ from polybox.core import (
     place_values,
     twin_pair_direction,
 )
-from polybox.catalog import small_covers, special_pair
+from polybox.catalog import small_covers
+from polybox import iso
 from polybox.iso import (
     ELEMENT_WALK_MAX_ORDER,
     Group,
+    GroupElement,
     apply_code,
     apply_word,
     canonical_form,
-    compose,
     dedup_orbits,
     element,
-    full_group,
     greedy_relabel,
-    identity,
     word_stabilizer,
 )
 from polybox.pbxio import parse_word
@@ -47,28 +46,19 @@ B = V5[0]
 LONG = os.environ.get("POLYBOX_LONG") == "1"
 
 
-def _random_element(group: Group, rng: Random):
-    g = identity(group.alphabet, group.dim)
-    for _ in range(rng.randrange(1, 8)):
-        g = compose(rng.choice(group.generators), g)
+def _random_element(group: Group, rng: Random) -> GroupElement:
+    """A product of one to seven generators, each acting after the last."""
+    g = rng.choice(group.generators)
+    for _ in range(rng.randrange(7)):
+        h = rng.choice(group.generators)
+        g = GroupElement(
+            sigma=tuple(map(g.sigma.__getitem__, h.sigma)),
+            maps=tuple(tuple(map(m.__getitem__, g.maps[j])) for m, j in zip(h.maps, h.sigma)),
+        )
     return g
 
 
 class TestGroupLaws:
-    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_compose_matches_sequential_application(self, seed, pairs, dim):
-        rng = Random(seed)
-        alphabet = Alphabet(pairs)
-        group = full_group(alphabet, dim)
-        g, h = _random_element(group, rng), _random_element(group, rng)
-        v = tuple(rng.randrange(alphabet.size) for _ in range(dim))
-        assert apply_word(compose(g, h), v) == apply_word(g, apply_word(h, v))
-
-    def test_identity_fixes_codes(self):
-        code, _ = special_pair()
-        assert apply_code(identity(Alphabet(2), 4), code) == code
-
     def test_element_validation(self):
         with pytest.raises(ValueError, match="complement"):
             element((0,), ((0, 2, 1, 3),))
@@ -84,7 +74,7 @@ class TestActionInvariance:
         if len(code) < 2:
             return
         rng = Random(seed)
-        group = full_group(alphabet, len(code[0]))
+        group = Group(alphabet, len(code[0]))
         g = _random_element(group, rng)
         image = apply_code(g, code)
         v, w = code[0], code[1]
@@ -130,7 +120,7 @@ class TestStabilizers:
 
     def test_full_group_generators_cover_the_group(self):
         alphabet = Alphabet(2)
-        group = full_group(alphabet, 2)
+        group = Group(alphabet, 2)
         code = make_code([W("ab")])
         assert group.orbit(code) == frozenset(
             apply_code(g, code) for g in group.elements()
@@ -138,10 +128,9 @@ class TestStabilizers:
 
     def test_identity_enumerated(self):
         stab = word_stabilizer(W("bb"), Alphabet(2))
-        assert identity(Alphabet(2), 2) in set(stab.elements())
+        assert GroupElement(sigma=(0, 1), maps=((0, 1, 2, 3),) * 2) in set(stab.elements())
 
     def test_word_stabilizer_refuses_foreign_letters(self):
-        # orders 8 (checked by the element walk) and 46,080 (not checked)
         for word in W("cc"), W("cccccc"), W("bc"), (2, -1):
             with pytest.raises(ValueError, match="outside the alphabet of 2 pairs"):
                 word_stabilizer(word, Alphabet(2))
@@ -235,12 +224,17 @@ def _cover_family(size: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _census_groups():
-    """The stabilizer of bbbbb over two pairs, and the same generators with
-    no order, which take the orbit walk; shared, so each builds its tables
-    (and the first its walk steps) once."""
-    stab = word_stabilizer(V5, Alphabet(2))
-    return stab, Group(stab.alphabet, stab.dim, stab.generators)
+def _census_group():
+    """The stabilizer of bbbbb over two pairs, shared, so it builds its
+    tables and walk steps once."""
+    return word_stabilizer(V5, Alphabet(2))
+
+
+def _both_walks(monkeypatch):
+    """Yields once under each walk: the element walk, then the orbit walk."""
+    yield
+    monkeypatch.setattr(iso, "ELEMENT_WALK_MAX_ORDER", 0)
+    yield
 
 
 def _sample_codes(group: Group, rng: Random, count: int):
@@ -266,7 +260,7 @@ def _stabilizers(pairs_dims):
 
 def _full_groups(pairs_dims):
     return [
-        pytest.param(full_group(Alphabet(p), d), id=f"full-{p}-{d}")
+        pytest.param(Group(Alphabet(p), d), id=f"full-{p}-{d}")
         for p, d in pairs_dims
     ]
 
@@ -312,6 +306,20 @@ class TestWalks:
             assert group.orbit(code) == expected
             assert canonical_form(code, group) == min(expected)
 
+    def test_orbit_walk_matches_element_enumeration(self):
+        """The orbit walk's generators reach every element: the d=4
+        three-pair stabilizer (98,304 elements, each ``N_i`` of order 8
+        from one flip and one pair swap) against ``elements()``."""
+        alphabet = Alphabet(3)
+        group = word_stabilizer((B,) * 4, alphabet)
+        assert group.order == 98_304 > ELEMENT_WALK_MAX_ORDER
+        elements = list(group.elements())
+        assert len(elements) == group.order
+        family = [c for size in (2, 3) for c in enumerate_minimal_covers((B,) * 4, size, alphabet)]
+        for code in Random(4).sample(family, 2):
+            expected = frozenset(apply_code(g, code) for g in elements)
+            assert group.orbit(code) == expected
+
     @pytest.mark.parametrize("group", ENUMERABLE)
     def test_schreier_tree_reaches_the_order(self, group):
         """The element walk's steps form a spanning path of the group, a
@@ -332,54 +340,13 @@ class TestWalks:
             keys.append(tuple(map(table.__getitem__, keys[-1])))
         assert len(set(keys)) == len(keys) == group.order
 
-    def test_schreier_tree_refuses_a_wrong_order(self):
-        """The planned walk counts ``d! * prod |N_i|`` elements and refuses
-        an order that differs."""
-        stab = word_stabilizer(W("bbb"), Alphabet(2))
-        for order in (stab.order - 1, stab.order + 1, 2 * stab.order):
-            group = Group(stab.alphabet, stab.dim, stab.generators, order=order)
-            with pytest.raises(ValueError, match="generators reach"):
-                group.orbit(make_code([W("abb")]))
-
-    def test_element_walk_refuses_swaps_off_s_d(self):
-        """Generators that reach more than ``d! * prod |N_i|`` elements are
-        refused even when that count is the declared order: a swap whose
-        square is outside ``N`` (here ``N`` is trivial), and a swap that
-        does not normalise ``N`` (it carries a letter map at position 0 to
-        position 1, where ``N_1`` is trivial)."""
-        alphabet, fixed, flip = Alphabet(2), (0, 1, 2, 3), (1, 0, 2, 3)
-        twisted = element((1, 0), (flip, fixed))
-        plain = element((1, 0), (fixed, fixed))
-        first_only = element((0, 1), (flip, fixed))
-        for generators, order, reached in (((twisted,), 2, 4), ((plain, first_only), 4, 8)):
-            group = Group(alphabet, 2, generators, order=order)
-            with pytest.raises(ValueError, match=f"generators reach more than {order} elements"):
-                group.orbit(make_code([W("ab")]))
-            assert len(list(Group(alphabet, 2, generators).elements())) == reached
-        assert len(Group(alphabet, 2, (twisted,)).orbit(make_code([W("ab")]))) == 4
-
-    def test_element_walk_refuses_other_generator_layouts(self):
-        alphabet = Alphabet(2)
-        flip = (1, 0, 2, 3)
-        swap = word_stabilizer(W("bbb"), alphabet).generators[0]
-        both = element((0, 1, 2), (flip, flip, (0, 1, 2, 3)))
-        cycle = element((1, 2, 0), ((0, 1, 2, 3),) * 3)
-        for generators, match in (
-            ((swap, both), "one position"),
-            ((cycle,), "adjacent positions"),
-        ):
-            group = Group(alphabet, 3, generators, order=12)
-            assert group.order <= ELEMENT_WALK_MAX_ORDER
-            with pytest.raises(ValueError, match=match):
-                group.orbit(make_code([W("abb")]))
-
     @pytest.mark.parametrize("size", SIZES)
-    def test_dedup_walks_match_old_walk_on_cover_families(self, size):
-        stab, unordered = _census_groups()
+    def test_dedup_walks_match_old_walk_on_cover_families(self, size, monkeypatch):
+        stab = _census_group()
         family = _cover_family(size)
         expected = _old_representatives(stab, family)
-        assert dedup_orbits(family, stab) == expected
-        assert dedup_orbits(family, unordered) == expected
+        for _ in _both_walks(monkeypatch):
+            assert dedup_orbits(family, stab) == expected
 
     def test_dedup_under_a_relabelled_anchor(self):
         # the stabilizer of a non-constant word, as in the benchmark's
@@ -398,7 +365,7 @@ class TestWalks:
             assert len(expected) == classes
 
     def test_dedup_unpacks_only_the_representatives(self, monkeypatch):
-        stab, unordered = _census_groups()
+        stab = _census_group()
         family = _cover_family(7)
         expected = dedup_orbits(family, stab)
         unpacked = []
@@ -411,17 +378,17 @@ class TestWalks:
 
         monkeypatch.setattr(Group, "_unpack", counting)
         monkeypatch.setattr(Group, "orbit", None)  # dedup never calls it
-        for group in (stab, unordered):
+        for _ in _both_walks(monkeypatch):
             unpacked.clear()
-            assert dedup_orbits(family, group) == expected
+            assert dedup_orbits(family, stab) == expected
             assert unpacked == [len(expected)] == [3]
 
-    def test_dedup_of_a_family_that_is_no_union_of_orbits(self):
-        stab, unordered = _census_groups()
+    def test_dedup_of_a_family_that_is_no_union_of_orbits(self, monkeypatch):
+        stab = _census_group()
         part = sorted(set(_cover_family(7)))[::7]
         expected = tuple(sorted({canonical_form(c, stab) for c in part}))
-        for group in (stab, unordered):
-            assert dedup_orbits(part + part[:3], group) == expected
+        for _ in _both_walks(monkeypatch):
+            assert dedup_orbits(part + part[:3], stab) == expected
 
     def test_tables_hold_only_the_words_met(self):
         group = word_stabilizer((B,) * 8, Alphabet(3))  # 6**8 words

@@ -434,8 +434,6 @@ class TestNonPositiveBudgets:
         for goal in (second, first):
             with pytest.raises(ValueError, match="budget must be positive"):
                 find_flip_path(first, goal, Alphabet(3), budget)
-        with pytest.raises(ValueError, match="budget must be positive"):
-            find_flip_path(first, None, Alphabet(3), budget, accept=lambda c: True)
 
     def test_strong_equivalence(self, budget):
         first, second = example_pair()
