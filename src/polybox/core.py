@@ -128,6 +128,34 @@ def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
     return _DigitSum(alphabet.size, [letters] * dim, ())
 
 
+class _Packing:
+    """Codes of one dimension over one alphabet as one int each: packed
+    word ``w`` is bit ``top - w``.  Between codes of one size a larger int
+    is a lex-smaller code.  At a position of place value ``p``, the word at
+    bit ``b`` has the letter ``radix - 1`` less ``b``'s digit, so each
+    letter's mask is a run of ``p`` bits with period ``radix * p``."""
+
+    def __init__(self, alphabet: Alphabet, dim: int) -> None:
+        size = alphabet.size**dim
+        self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
+        self.words = word_table(alphabet, dim)
+        self.letters = []  # per position, a mask per letter
+        for place in place_values(alphabet, dim):
+            run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << self.radix * place) - 1)
+            self.letters.append([run << (self.radix - 1 - s) * place for s in alphabet.letters()])
+
+    def pack(self, code: Iterable[Word]) -> int:
+        return sum(1 << self.top - pack_word(v, self.alphabet) for v in code)
+
+    def unpack(self, state: int) -> Code:
+        words, top, code = self.words, self.top, []
+        while state:
+            b = state.bit_length() - 1
+            code.append(words[top - b])
+            state ^= 1 << b
+        return tuple(code)
+
+
 def twin_pair_direction(v: Word, w: Word) -> Optional[int]:
     """The unique position (0-based) where the words differ, if they differ
     there by complementation only; None otherwise."""

@@ -4,20 +4,27 @@ letter bijections that respect complementation.
 ``Group(alphabet, dim, word)`` is the group of isomorphisms fixing a word
 (all of them without one), built from the word as ``S_d`` over the
 per-position letter-map groups.  Canonical forms are exact lexicographic
-orbit minima.  Orbits are walked over packed words (``core.pack_code``: a
-word is its mixed-radix number over the alphabet's letters, so a code is a
-sorted tuple of ints in the same lex order), with one table per step
-element from packed word to packed image, filled as walks meet words:
+orbit minima, found by one of two walks:
 
 * the element walk visits each group element once, each from the one
-  before by one table, planned from the group's layout
-  (``Group._walk_steps``): ``order`` images per orbit;
+  before by one step planned from the group's layout
+  (``Group._walk_steps``): ``order`` images per orbit.  A code is one int
+  in ``core._Packing``'s layout, a bit per word, where a larger int is a
+  lex-smaller code, so the orbit minimum is the largest image.  A step
+  permutes bits: it keeps some, and moves a few masked blocks each by one
+  shift (Knuth, TAOCP 4A, 7.1.3);
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
+  A code is a sorted tuple of packed words (``core.pack_code``: a word is
+  its mixed-radix number over the alphabet's letters, so lex order is
+  kept), and a generator a table from packed word to packed image, filled
+  as the walk meets words.
 
 Groups of up to ``ELEMENT_WALK_MAX_ORDER`` elements take the element walk,
-the rest the orbit walk; both give the same orbit.
+the rest the orbit walk; both give the same orbit.  The element walk's word
+spaces are small (at most 1,024 words, two pairs at d=5); the orbit walk's
+can be far too large for a bit per word (6**8 words at three pairs, d=8).
 """
 
 from __future__ import annotations
@@ -25,22 +32,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .alphabet import STAR, Alphabet, letter_name
-from .core import Code, Word, _DigitSum, pack_code, place_values, word_table
+from .core import Code, Word, _DigitSum, _Packing, pack_code, place_values, word_table
 
-# The element walk plans its steps once per group (0.5 ms at the 3,840
-# elements of the two-pair stabilizer of bbbbb), then maps ``order`` images
-# per orbit; the orbit walk maps ``|generators|`` images per orbit code.
-# So the element walk wins on near-regular orbits: at 3,840 elements the
-# size-10 census of twin-pair-free covers of bbbbb dedups in 0.42 s against
-# 3.2 s, and one of its canonical forms takes 10 ms against 85 ms; it loses
-# on small orbits (a 2-word cover: 6 ms against 0.4 ms).  Above this order
-# no family measured favours it throughout: at 5,040 (one pair, d=7) 200
-# random 3-word codes took 1.0 s against 1.5 s, 1-word codes 0.85 s against
-# 0.03 s; at 46,080 (two pairs, d=6) a small cover's canonical form took
-# 60 ms against 1.5 ms.  Timed on a 2-core machine.
+# The element walk plans its steps once per group (0.6 ms at the 3,840
+# elements of the two-pair stabilizer of bbbbb), then makes ``order``
+# images per orbit; the orbit walk makes ``|generators|`` images per orbit
+# code.  So the element walk wins on near-regular orbits: at 3,840 elements
+# the size-10 census of twin-pair-free covers of bbbbb dedups in 0.26 s
+# against 3.2 s, and one of its canonical forms takes 4 ms against 81 ms;
+# it loses on small orbits (a 2-word cover: 3 ms against 0.1 ms).  Above
+# this order no family measured favours it throughout: at 5,040 (one pair,
+# d=7) 200 random 3-word codes took 0.81 s against 1.45 s, 1-word codes
+# 0.68 s against 0.03 s; at 46,080 (two pairs, d=6) a small cover's
+# canonical form took 49 ms against 0.1 ms.  Timed on a 2-core machine.
 ELEMENT_WALK_MAX_ORDER = 5_000
 
 
@@ -94,12 +101,14 @@ class Group:
     ``d! * prod |N_i|``.
 
     A group of at most ``ELEMENT_WALK_MAX_ORDER`` elements is walked element
-    by element, along steps planned when it first walks and kept for its
-    life; others, such as the three-pair d=5 word stabilizer (3,932,160
-    elements), breadth-first over the orbit with the swaps and the factors
-    as generators.  Their tables, per step or per generator, and the table
-    that unpacks words are kept too, but hold only the words met, never the
-    whole word space.
+    by element over one-int codes, along bit steps planned when it first
+    walks and kept for its life with the letter masks they are built from.
+    Others, such as the three-pair d=5 word stabilizer (3,932,160
+    elements), are walked breadth-first over the orbit with the swaps and
+    the factors as generators; their tables, one per generator, and the
+    table that unpacks words are kept too, but hold only the words met,
+    never the whole word space.  Codes with a repeated word are refused,
+    since one int per code would merge the repeat.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, word: Word | None = None) -> None:
@@ -128,7 +137,8 @@ class Group:
         self.order = math.factorial(dim) * (math.factorial(free_count) << free_count) ** dim
         self._tables: list[_DigitSum] | None = None
         self._words: _DigitSum | None = None
-        self._steps: list[_DigitSum] | None = None
+        self._bits: _Packing | None = None
+        self._steps: list[tuple[int, tuple, tuple]] | None = None
 
     def elements(self) -> Iterator[GroupElement]:
         """Every element, each position permutation with every choice of
@@ -144,13 +154,52 @@ class Group:
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
-        return self._unpack(self._packed_orbit(self._pack(code)))
+        packed = self._pack(code)
+        if self._walks_elements():
+            return self._unpack(set(_bit_walk(packed, self._walk_steps())))
+        return self._unpack(self._orbit_walk(packed))
 
-    def _packed_orbit(self, code: tuple[int, ...]) -> Collection[tuple[int, ...]]:
-        """All images of a packed code, packed (the element walk's repeat)."""
-        if self.order <= ELEMENT_WALK_MAX_ORDER:
-            return self._element_walk(code)
-        return self._orbit_walk(code)
+    def _walks_elements(self) -> bool:
+        return self.order <= ELEMENT_WALK_MAX_ORDER
+
+    def _pack(self, code: Code) -> int | tuple[int, ...]:
+        """The code as its walk takes it: one int for the element walk, a
+        sorted tuple of packed words for the orbit walk."""
+        if any(len(v) != self.dim for v in code):
+            raise ValueError("dimension mismatch")
+        if len(set(code)) != len(code):
+            raise ValueError("repeated word in code")
+        if self._walks_elements():
+            return self._packing().pack(code)
+        return pack_code(code, self.alphabet)
+
+    def _unpack(self, images: Iterable) -> frozenset[Code]:
+        if self._walks_elements():
+            return frozenset(map(self._packing().unpack, images))
+        if self._words is None:
+            self._words = word_table(self.alphabet, self.dim)
+        words = self._words
+        return frozenset(tuple(map(words.__getitem__, image)) for image in images)
+
+    def _least_image(self, packed: int | tuple[int, ...], pending: set):
+        """The packed orbit minimum of a packed code, with the orbit's codes
+        taken out of ``pending``.  The element walk's images stream by, and
+        only the largest int so far is kept."""
+        if self._walks_elements():
+            best, discard = packed, pending.discard
+            for image in _bit_walk(packed, self._walk_steps()):
+                discard(image)
+                if image > best:
+                    best = image
+            return best
+        orbit = self._orbit_walk(packed)
+        pending.difference_update(orbit)
+        return min(orbit)
+
+    def _packing(self) -> _Packing:
+        if self._bits is None:
+            self._bits = _Packing(self.alphabet, self.dim)
+        return self._bits
 
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
@@ -167,17 +216,6 @@ class Group:
             lookups.append(tuple(s * places[i] for s in g.maps[i]))
         return _DigitSum(self.alphabet.size, lookups, 0)
 
-    def _pack(self, code: Code) -> tuple[int, ...]:
-        if any(len(v) != self.dim for v in code):
-            raise ValueError("dimension mismatch")
-        return pack_code(code, self.alphabet)
-
-    def _unpack(self, images: Iterable[tuple[int, ...]]) -> frozenset[Code]:
-        if self._words is None:
-            self._words = word_table(self.alphabet, self.dim)
-        words = self._words
-        return frozenset(tuple(map(words.__getitem__, image)) for image in images)
-
     def _orbit_walk(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Breadth-first over the orbit: every generator on every image."""
         tables = self._walk_tables()
@@ -191,40 +229,76 @@ class Group:
                     queue.append(image)
         return seen
 
-    def _element_walk(self, code: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The code's image under every element, each from the last."""
-        images = [code]
-        append = images.append
-        for table in self._walk_steps():
-            code = tuple(sorted(map(table.__getitem__, code)))
-            append(code)
-        return images
+    def _walk_plan(self) -> tuple[list[GroupElement], list[int]]:
+        """The distinct step elements, and the ``order - 1`` steps, as
+        indices into them, that carry each element to the next from the
+        identity, meeting each once.  ``N`` is walked like an odometer over
+        a listing of each ``N_i``: a step left-multiplies one position's
+        next entry over its last, so a rerun of the lower positions' walk
+        covers them wherever it starts.  The swaps normalise ``N`` and meet
+        the relations of ``S_d`` modulo ``N``, so between walks of ``N``,
+        swaps in Steinhaus-Johnson-Trotter order step through its cosets."""
+        fixed = _identity_map(self.alphabet)
+        after = lambda g, m: tuple(map(g.__getitem__, m))
+        elements, index, walk = list(self.swaps), {}, []
+        for i, factor in enumerate(self.factors):
+            listing = _closure(fixed, factor, after)
+            lower, walk = walk, list(walk)
+            for x in range(1, len(listing)):
+                step = (i, after(listing[x], map(listing[x - 1].index, fixed)))
+                if step not in index:
+                    index[step] = len(elements)
+                    elements.append(_position_element(self.alphabet, self.dim, *step))
+                walk += [index[step]] + lower
+        cosets = list(walk)
+        for k in _sjt_swaps(self.dim):
+            walk += [k] + cosets
+        return elements, walk
 
-    def _walk_steps(self) -> list[_DigitSum]:
-        """``order - 1`` tables that carry each element to the next from the
-        identity, meeting each once.  ``N`` is walked like an odometer over a
-        listing of each ``N_i``: a step left-multiplies one position's next
-        entry over its last, so a rerun of the lower positions' walk covers
-        them wherever it starts.  The swaps normalise ``N`` and meet the
-        relations of ``S_d`` modulo ``N``, so between walks of ``N``, swaps in
-        Steinhaus-Johnson-Trotter order step through its cosets."""
+    def _walk_steps(self) -> list[tuple[int, tuple, tuple]]:
+        """The planned walk as bit steps, one per distinct element, built
+        when the group first walks and kept for its life."""
         if self._steps is None:
-            fixed = _identity_map(self.alphabet)
-            after = lambda g, m: tuple(map(g.__getitem__, m))
-            walk, tables = [], {}  # a listing repeats steps: one table each
-            for i, factor in enumerate(self.factors):
-                listing = _closure(fixed, factor, after)
-                lower, walk = walk, list(walk)
-                for x in range(1, len(listing)):
-                    step = (i, after(listing[x], map(listing[x - 1].index, fixed)))
-                    if step not in tables:
-                        tables[step] = self._table(_position_element(self.alphabet, self.dim, *step))
-                    walk += [tables[step]] + lower
-            self._steps = list(walk)
-            swap_tables = [self._table(t) for t in self.swaps]
-            for k in _sjt_swaps(self.dim):
-                self._steps += [swap_tables[k]] + walk
+            elements, walk = self._walk_plan()
+            steps = list(map(self._bit_step, elements))
+            self._steps = [steps[k] for k in walk]
         return self._steps
+
+    def _bit_step(self, g: GroupElement) -> tuple[int, tuple, tuple]:
+        """``g`` on one-int codes as ``(fixed, left, right)``: the bits of
+        ``fixed`` stay, and each ``(mask, shift)`` in ``left`` (``right``)
+        moves its bits up (down) by ``shift``.  The words with given letters
+        at the positions ``g`` moves form one block, the AND of those
+        letters' masks, and all move by one shift: a word's bit falls by
+        its packed value's rise, the letters' rises times their place
+        values."""
+        packing, places = self._packing(), place_values(self.alphabet, self.dim)
+        identity = _identity_map(self.alphabet)
+        moved = [i for i in range(self.dim) if g.sigma[i] != i or g.maps[i] != identity]
+        blocks: dict[int, int] = {}  # shift -> mask
+        for letters in itertools.product(identity, repeat=len(moved)):
+            v = dict(zip(moved, letters))
+            mask, shift = (2 << packing.top) - 1, 0
+            for i in moved:
+                mask &= packing.letters[i][v[i]]
+                shift += (v[i] - g.maps[i][v[g.sigma[i]]]) * places[i]
+            blocks[shift] = blocks.get(shift, 0) | mask
+        left = tuple((mask, shift) for shift, mask in blocks.items() if shift > 0)
+        right = tuple((mask, -shift) for shift, mask in blocks.items() if shift < 0)
+        return blocks.get(0, 0), left, right
+
+
+def _bit_walk(code: int, steps: Iterable[tuple[int, tuple, tuple]]) -> Iterator[int]:
+    """The one-int code, then its image after each step in turn."""
+    yield code
+    for fixed, left, right in steps:
+        image = code & fixed
+        for mask, shift in left:
+            image |= (code & mask) << shift
+        for mask, shift in right:
+            image |= (code & mask) >> shift
+        code = image
+        yield code
 
 
 def _closure(start, generators, after) -> list:
@@ -323,7 +397,7 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
 def canonical_form(code: Code, group: Group) -> Code:
     """Lexicographic minimum over the orbit; equal on all orbit members.
     Packing keeps lex order, so only the packed minimum is unpacked."""
-    (canonical,) = group._unpack([min(group._packed_orbit(group._pack(code)))])
+    (canonical,) = group._unpack([group._least_image(group._pack(code), set())])
     return canonical
 
 
@@ -337,12 +411,8 @@ def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
     outside the family, and keeping them all set the memory peak."""
     pending = {group._pack(code) for code in family}
     minima = []
-    for packed in sorted(pending):
-        if packed not in pending:
-            continue
-        orbit = group._packed_orbit(packed)
-        pending.difference_update(orbit)
-        minima.append(min(orbit))
+    while pending:
+        minima.append(group._least_image(pending.pop(), pending))
     return tuple(sorted(group._unpack(minima)))
 
 

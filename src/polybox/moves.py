@@ -8,7 +8,7 @@ glue direction, and every cut inherits that.
 Flip reachability is explored by breadth-first search over whole codes
 with an explicit state budget; exhaustion of the budget is reported, never
 guessed away.  A search state is one int, a bit per word of the space
-(``_Packing``): the twin pairs at a position are one shift and two masks
+(``core._Packing``): the twin pairs at a position are one shift and two masks
 away, and a flip toggles four bits.  Codes are checked once on entry, and
 words and moves are built only for what is returned.
 """
@@ -30,11 +30,11 @@ from .core import (
     is_simple,
     make_code,
     overlap_weight,
+    _Packing,
     pack_word,
     pairs_at,
     place_values,
     twin_pair_direction,
-    word_table,
 )
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -118,39 +118,40 @@ def _dim(code: Code) -> int:
 # three.  No repro job, bundled code or benchmark workload needs them.
 STATE_BITS_CAP = 1 << 16
 
+# A search keeps up to ``state_budget`` states of ``ceil(words / 8)`` bytes
+# each, so one whose budget could fill more than this is refused up front:
+# at the default budget, d=4 from six pairs, d=5 from four and d=6 from
+# three (5.8 GB).  Extraction at d=5 over three pairs could fill 0.97 GB.
+STATE_MEMORY_CAP = 2 << 30
 
-class _Packing:
-    """Codes of one dimension over one alphabet as one int each: packed
-    word ``w`` (``core.pack_word``) is bit ``top - w``.  Flips keep a code's
-    size, and between codes of one size a larger int is a lex-smaller code.
-    At a position of place value ``p``, the word at bit ``b`` has the letter
-    ``radix - 1`` less ``b``'s digit, so each letter's mask is a run of
-    ``p`` bits with period ``radix * p``; the twin of a word with an
-    unprimed letter there is the word plus ``p``, ``p`` bits lower."""
+
+class _FlipPacking(_Packing):
+    """A ``core._Packing`` with what flips need.  Flips keep a code's
+    size, so a larger state int is a lex-smaller code.  At a position of
+    place value ``p``, the twin of a word with an unprimed letter is the
+    word plus ``p``, ``p`` bits lower."""
 
     def __init__(self, alphabet: Alphabet, dim: int) -> None:
         size = alphabet.size**dim
         if size > STATE_BITS_CAP:
             raise ValueError(f"flip search too large: {size:,} words (cap {STATE_BITS_CAP:,})")
-        self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
-        self.words = word_table(alphabet, dim)
-        self.letters = []  # per position, a mask per letter
-        self.places = []  # (position, place, mask of the unprimed letters)
-        for i, place in enumerate(place_values(alphabet, dim)):
-            run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << self.radix * place) - 1)
-            self.letters.append([run << (self.radix - 1 - s) * place for s in alphabet.letters()])
-            self.places.append((i, place, sum(self.letters[i][::2])))
+        super().__init__(alphabet, dim)
+        # (position, place, mask of the unprimed letters)
+        self.places = [
+            (i, place, sum(self.letters[i][::2]))
+            for i, place in enumerate(place_values(alphabet, dim))
+        ]
 
-    def pack(self, code: Code) -> int:
-        return sum(1 << self.top - pack_word(v, self.alphabet) for v in code)
-
-    def unpack(self, state: int) -> Code:
-        words, top, code = self.words, self.top, []
-        while state:
-            b = state.bit_length() - 1
-            code.append(words[top - b])
-            state ^= 1 << b
-        return tuple(code)
+    def check_memory(self, state_budget: int) -> None:
+        """Refuse a budget whose states could fill more than
+        ``STATE_MEMORY_CAP`` bytes."""
+        state_bytes = (self.top + 8) // 8
+        need = state_budget * state_bytes
+        if need > STATE_MEMORY_CAP:
+            raise ValueError(
+                f"flip search too large: {state_budget:,} states of {state_bytes:,} bytes "
+                f"need {need:,} bytes (cap {STATE_MEMORY_CAP:,})"
+            )
 
     def meeting(self, word: Word) -> int:
         """The words with no letter complementary to ``word``'s; a letter
@@ -186,6 +187,7 @@ class _Packing:
     ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
         """Breadth-first from ``start`` to the first state ``found`` likes."""
         _check_budget(state_budget)
+        self.check_memory(state_budget)
         if found(start):
             return Verdict.YES, ()
         parents: dict[int, tuple] = {start: ()}
@@ -212,10 +214,10 @@ class _Packing:
 
 
 # each packing keeps its masks and the words it has unpacked
-_packing = lru_cache(maxsize=8)(_Packing)
+_packing = lru_cache(maxsize=8)(_FlipPacking)
 
 
-def _packed(code: Code, alphabet: Alphabet) -> tuple[_Packing, int]:
+def _packed(code: Code, alphabet: Alphabet) -> tuple[_FlipPacking, int]:
     """The packing of a code, checked on entry, and its state."""
     packing = _packing(alphabet, _dim(make_code(code, alphabet)))
     return packing, packing.pack(code)
@@ -265,6 +267,7 @@ def closure(
     unexhausted, with the states not fully expanded as frontier."""
     _check_budget(state_budget)
     packing, start = _packed(code, alphabet)
+    packing.check_memory(state_budget)
     visited = {start}
     queue = [start]
 

@@ -31,10 +31,9 @@ def word_pairs(draw, max_pairs: int = 3, max_dim: int = 4):
 
 
 @st.composite
-def codes(draw, max_pairs: int = 3, max_dim: int = 4, min_size: int = 1):
-    """A code drawn greedily from a shuffled pool, then truncated."""
-    alphabet = draw(alphabets(max_pairs))
-    dim = draw(st.integers(min_value=1, max_value=max_dim))
+def codes_over(draw, alphabet: Alphabet, dim: int, min_size: int = 1):
+    """A code of ``dim``-letter words drawn greedily from a shuffled pool,
+    then truncated."""
     pool = list(itertools.product(alphabet.letters(), repeat=dim))
     pool = draw(st.permutations(pool))
     want = draw(st.integers(min_value=min_size, max_value=1 << dim))
@@ -44,4 +43,12 @@ def codes(draw, max_pairs: int = 3, max_dim: int = 4, min_size: int = 1):
             break
         if all(is_dichotomous(q, v) for v in chosen):
             chosen.append(q)
-    return alphabet, tuple(sorted(chosen))
+    return tuple(sorted(chosen))
+
+
+@st.composite
+def codes(draw, max_pairs: int = 3, max_dim: int = 4, min_size: int = 1):
+    """A code over a drawn alphabet and dimension (``codes_over``)."""
+    alphabet = draw(alphabets(max_pairs))
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    return alphabet, draw(codes_over(alphabet, dim, min_size))

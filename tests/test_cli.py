@@ -169,6 +169,14 @@ class TestClosure:
         assert run("check", str(path)) == 0
         assert "twin pairs: 80" in capsys.readouterr().out
 
+    def test_memory_hungry_budget_refused(self, tmp_path, capsys):
+        # d=6 over three pairs: 5,832 bytes a state, 5.8 GB at the default budget
+        path = tmp_path / "c6.pbx"
+        path.write_text(format_code(tuple(itertools.product((4, 5), repeat=6))))
+        assert run("closure", str(path)) == 2
+        assert "need 5,832,000,000 bytes (cap 2,147,483,648)" in capsys.readouterr().err
+        assert run("closure", str(path), "--budget", "10") == 3
+
 
 @pytest.mark.parametrize("command", ["closure", "simplify", "strong-equiv"])
 @pytest.mark.parametrize("budget", ["0", "-5"])

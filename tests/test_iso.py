@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polybox.alphabet import Alphabet
+from polybox.alphabet import MAX_DIM, MAX_PAIRS, Alphabet
 from polybox.core import (
     code_covered,
     density,
@@ -19,7 +19,7 @@ from polybox.core import (
     is_simple,
     make_code,
     overlap_weight,
-    place_values,
+    pack_word,
     twin_pair_direction,
 )
 from polybox.catalog import small_covers
@@ -38,7 +38,7 @@ from polybox.iso import (
 )
 from polybox.pbxio import parse_word
 from polybox.search import cover_word, enumerate_minimal_covers
-from strategies import codes
+from strategies import codes, codes_over
 
 W = parse_word
 V5 = W("bbbbb")
@@ -224,6 +224,11 @@ def _cover_family(size: int):
 
 
 @functools.lru_cache(maxsize=None)
+def _elements(group: Group) -> list[GroupElement]:
+    return list(group.elements())
+
+
+@functools.lru_cache(maxsize=None)
 def _census_group():
     """The stabilizer of bbbbb over two pairs, shared, so it builds its
     tables and walk steps once."""
@@ -283,15 +288,53 @@ SIZES = [5, 6, 7] + [
 
 class TestWalks:
     @pytest.mark.parametrize("group", ENUMERABLE)
-    def test_walks_match_element_enumeration(self, group):
+    def test_walks_match_element_enumeration(self, group, monkeypatch):
         assert group.order <= ELEMENT_WALK_MAX_ORDER  # orbit() walks elements
-        elements = list(group.elements())
+        elements = _elements(group)
         assert len(elements) == group.order
-        for code in _sample_codes(group, Random(group.order), 2):
-            expected = frozenset(apply_code(g, code) for g in elements)
-            assert group.orbit(code) == expected
-            assert group._unpack(group._orbit_walk(group._pack(code))) == expected
-            assert canonical_form(code, group) == min(expected)
+        samples = _sample_codes(group, Random(group.order), 2)
+        for _ in _both_walks(monkeypatch):
+            for code in samples:
+                expected = frozenset(apply_code(g, code) for g in elements)
+                assert group.orbit(code) == expected
+                assert canonical_form(code, group) == min(expected)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_forms_are_constant_on_orbits(self, data):
+        group = data.draw(st.sampled_from([param.values[0] for param in ENUMERABLE]))
+        code = data.draw(codes_over(group.alphabet, group.dim))
+        g = _elements(group)[data.draw(st.integers(0, group.order - 1))]
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in _both_walks(patch):
+                assert canonical_form(apply_code(g, code), group) == canonical_form(code, group)
+
+    @pytest.mark.parametrize("group", ENUMERABLE)
+    def test_bit_steps_move_each_word_as_their_elements(self, group):
+        """Each distinct planned step, as the walk takes it, carries the
+        one-bit code of every word to that of the word's image."""
+        elements, walk = group._walk_plan()
+        steps = group._walk_steps()
+        assert len(walk) == len(steps) == group.order - 1
+        alphabet, top = group.alphabet, group.alphabet.size**group.dim - 1
+        for k, g in enumerate(elements):
+            step = steps[walk.index(k)]
+            for v in itertools.product(alphabet.letters(), repeat=group.dim):
+                _, image = iso._bit_walk(1 << top - pack_word(v, alphabet), [step])
+                assert image == 1 << top - pack_word(apply_word(g, v), alphabet)
+
+    def test_element_walks_stay_within_1024_words(self):
+        """Every group the element walk takes, with or without a word, has
+        at most 1,024 words, so its one-int codes stay small; two pairs at
+        d=5 reach that."""
+        largest = 0
+        for pairs, fixing in itertools.product(range(1, MAX_PAIRS + 1), (False, True)):
+            for dim in range(MAX_DIM + 1):
+                group = Group(Alphabet(pairs), dim, _anchor(pairs, dim) if fixing else None)
+                if group.order > ELEMENT_WALK_MAX_ORDER:
+                    break
+                largest = max(largest, group.alphabet.size**dim)
+        assert largest == 1024
 
     @pytest.mark.parametrize("dim", LARGE)
     def test_orbit_walk_matches_old_walk(self, dim):
@@ -325,19 +368,21 @@ class TestWalks:
         """The element walk's steps form a spanning path of the group, a
         Schreier tree with one branch: from the identity they meet
         ``order`` elements, each once.  Elements are told apart by their
-        images of a base: the all-``a`` word gives every position's letter
-        map at ``a``, and for each position and each other pair, the word
-        with that pair's unprimed letter there shows where the position
-        goes and what the pair becomes (with one pair, ``a'`` shows where
-        it goes).  So only the identity fixes the base."""
-        base = (0,) + tuple(
-            s * place
-            for place in place_values(group.alphabet, group.dim)
+        images of a base, each word walked as a one-bit code: the all-``a``
+        word gives every position's letter map at ``a``, and for each
+        position and each other pair, the word with that pair's unprimed
+        letter there shows where the position goes and what the pair
+        becomes (with one pair, ``a'`` shows where it goes).  So only the
+        identity fixes the base."""
+        dim = group.dim
+        base = [(0,) * dim] + [
+            (0,) * i + (s,) + (0,) * (dim - 1 - i)
+            for i in range(dim)
             for s in range(2, group.alphabet.size, 2) or (1,)
-        )
-        keys = [base]
-        for table in group._walk_steps():
-            keys.append(tuple(map(table.__getitem__, keys[-1])))
+        ]
+        top, steps = group.alphabet.size**dim - 1, group._walk_steps()
+        walks = [iso._bit_walk(1 << top - pack_word(v, group.alphabet), steps) for v in base]
+        keys = list(zip(*walks))
         assert len(set(keys)) == len(keys) == group.order
 
     @pytest.mark.parametrize("size", SIZES)
@@ -395,6 +440,20 @@ class TestWalks:
         code = make_code([(B,) * 8])
         assert canonical_form(code, group) == code
         assert [len(table) for table in group._walk_tables()] == [1] * len(group.generators)
+
+    def test_repeated_words_are_refused(self, monkeypatch):
+        """A one-int code would merge a repeated word, so both walks
+        refuse it."""
+        stab = word_stabilizer(W("bb"), Alphabet(2))
+        code = (W("ab"), W("ab"), W("a'b"))
+        for _ in _both_walks(monkeypatch):
+            for call in (
+                lambda: canonical_form(code, stab),
+                lambda: dedup_orbits([code], stab),
+                lambda: stab.orbit(code),
+            ):
+                with pytest.raises(ValueError, match="repeated word"):
+                    call()
 
     def test_letters_outside_the_alphabet_are_refused(self):
         stab = word_stabilizer(W("bb"), Alphabet(2))

@@ -29,6 +29,7 @@ from polybox.catalog import (
 )
 from polybox.moves import (
     DEFAULT_STATE_BUDGET,
+    STATE_MEMORY_CAP,
     FlipMove,
     Verdict,
     _merge_layer_moves,
@@ -695,3 +696,30 @@ class TestPackedStates:
         ):
             with pytest.raises(ValueError, match=r"too large: 100,000 words \(cap 65,536\)"):
                 search()
+
+    def test_memory_hungry_budget_refused(self):
+        """d=6 over three pairs: 46,656-bit states of 5,832 bytes, so the
+        default budget could fill 5.8 GB.  Every search refuses it before
+        it starts; a budget that fits runs."""
+        alphabet, code = Alphabet(3), _simple_over(2, 6)
+        for search in (
+            lambda: closure(code, alphabet),
+            lambda: find_flip_path(code, code, alphabet),
+            lambda: is_locked_cover(code[0], code, alphabet),
+            lambda: extract_word(code, code[0], alphabet),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=r"too large: 1,000,000 states of 5,832 bytes need 5,832,000,000 bytes "
+                r"\(cap 2,147,483,648\)",
+            ):
+                search()
+        assert closure(code, alphabet, state_budget=5).frontier_count > 0
+        packing = _packing(alphabet, 6)
+        packing.check_memory(STATE_MEMORY_CAP // 5832)
+        with pytest.raises(ValueError, match="too large"):
+            packing.check_memory(STATE_MEMORY_CAP // 5832 + 1)
+
+    def test_extraction_at_d5_over_three_pairs_fits(self):
+        """7,776-bit states: the default budget could fill 0.97 GB."""
+        _packing(Alphabet(3), 5).check_memory(DEFAULT_STATE_BUDGET)
