@@ -16,8 +16,6 @@ from .alphabet import Alphabet
 from .core import (
     Code,
     Word,
-    _dichotomy_row,
-    _letter_masks,
     are_disjoint,
     are_equivalent,
     binary_code_set,
@@ -48,11 +46,11 @@ from .moves import (
 from .realize import oracle_is_covered
 from .sampling import random_code, random_tiling_code, random_word
 from .search import (
-    PruneContext,
     cover_bound,
     cover_code,
     cover_word,
     enumerate_minimal_covers,
+    tiling_codes,
 )
 
 ANCHOR = 2  # letter b
@@ -62,10 +60,9 @@ COVER_CLASS_COUNTS = {5: 1, 6: 1, 7: 3, 8: 4, 9: 19, 10: 51, 11: 153}
 # four (spanning at most two positions) at d=2, two more spanning three
 # positions from d=3 on; regression values, oracle-checked
 SMALL_COVER_CLASS_COUNTS = {2: 4, 5: 6}
-D2_TILING_CODE_COUNT = 12  # regression value, exhaustive generation
-# cube tiling codes of dimension 3 by pair count; regression values, equal
-# to the flip closures of the simple seeds and to bench/census.py
-D3_TILING_CODE_COUNTS = {2: 744, 3: 17793}
+# cube tiling codes by (dimension, pair count); regression values, equal to
+# the flip closures of the simple seeds and, at d=3, to bench/census.py
+TILING_CODE_COUNTS = {(2, 2): 12, (3, 2): 744, (3, 3): 17_793}
 SABC_SIZE8_JOINT_COVERS = 64
 
 
@@ -187,56 +184,17 @@ def job_example1(long: bool) -> JobReport:
     return report
 
 
-def job_d2_connectivity(long: bool) -> JobReport:
-    """Exhaustive census of 2x2 tiling codes over two pairs, and the flip
-    closure of the simple seed reaching all of them."""
-    report = JobReport("d2-connectivity", True)
-    alphabet = Alphabet(2)
-    census = _tiling_census(alphabet, 2)
-    report.check("tiling codes (regression)", D2_TILING_CODE_COUNT, len(census))
-    seed = make_code([(0, 0), (0, 1), (1, 0), (1, 1)])
-    closed = closure(seed, alphabet)
-    report.check("closure exhausted", True, closed.exhausted)
-    report.check("closure reaches every tiling code", True, closed.states == census)
-    return report
-
-
-def _tiling_census(alphabet: Alphabet, dim: int) -> set[Code]:
-    """Every cube tiling code, as a set of ``2**dim`` pairwise dichotomous
-    words: backtracking over the dichotomy masks of the whole word space,
-    each code met once, its words in increasing order.  No flips."""
-    words = list(itertools.product(alphabet.letters(), repeat=dim))
-    masks = _letter_masks(words)
-    rows = [_dichotomy_row(masks, v) for v in words]
-    found: set[Code] = set()
-    chosen: list[Word] = []
-
-    def rec(candidates: int, need: int) -> None:
-        if need == 0:
-            found.add(tuple(chosen))
-            return
-        while candidates.bit_count() >= need:
-            low = candidates & -candidates
-            candidates ^= low
-            j = low.bit_length() - 1
-            chosen.append(words[j])
-            rec(candidates & rows[j], need - 1)
-            chosen.pop()
-
-    rec((1 << len(words)) - 1, 1 << dim)
-    return found
-
-
-def job_connectivity(long: bool) -> JobReport:
-    """Flip connectivity of all cube tiling codes of dimension 3 over two
-    and three pairs: a census by backtracking equals the flip closure of the
-    simple seed."""
-    report = JobReport("connectivity", True)
-    dim = 3
+def _connectivity(name: str, dim: int) -> JobReport:
+    """For each pair count ``TILING_CODE_COUNTS`` lists at ``dim``: the
+    census of cube tiling codes, one exact cover per code
+    (``tiling_codes``), equals the flip closure of the simple seed."""
+    report = JobReport(name, True)
     seed = make_code(itertools.product((0, 1), repeat=dim))
-    for pairs, count in D3_TILING_CODE_COUNTS.items():
+    for (d, pairs), count in TILING_CODE_COUNTS.items():
+        if d != dim:
+            continue
         alphabet = Alphabet(pairs)
-        census = _tiling_census(alphabet, dim)
+        census = tiling_codes(alphabet, dim)
         report.check(f"tiling codes d={dim}, {pairs} pairs (regression)", count, len(census))
         closed = closure(seed, alphabet)
         report.check(f"closure exhausted, {pairs} pairs", True, closed.exhausted)
@@ -246,6 +204,19 @@ def job_connectivity(long: bool) -> JobReport:
             closed.states == census,
         )
     return report
+
+
+def job_d2_connectivity(long: bool) -> JobReport:
+    """Flip connectivity of all 2x2 tiling codes over two pairs: the census
+    by exact cover equals the flip closure of the simple seed."""
+    return _connectivity("d2-connectivity", 2)
+
+
+def job_connectivity(long: bool) -> JobReport:
+    """Flip connectivity of all cube tiling codes of dimension 3 over two
+    and three pairs: the census by exact cover equals the flip closure of
+    the simple seed."""
+    return _connectivity("connectivity", 3)
 
 
 def job_oracle_fuzz(long: bool) -> JobReport:
@@ -334,10 +305,7 @@ def job_cover_bound_soundness(long: bool) -> JobReport:
         ]
         for partial in partials:
             for slots in range(0, 4):
-                ctx = PruneContext(
-                    partial=partial, target=target, pool=tuple(every), slots=slots
-                )
-                bound = cover_bound(ctx)
+                bound = cover_bound(partial, target, every, slots)
                 exists = _has_completion(partial, target_word, meeting, slots)
                 checked += 1
                 completable += exists

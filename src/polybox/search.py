@@ -29,6 +29,9 @@ The workhorses:
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
   bookkeeping), keeping each image once.  It maps words over ranks
   (``_Ranks``), one word at a time as covers meet it.
+* ``tiling_codes`` lists every cube tiling code over ``k`` pairs as the
+  exact covers of ``b...b`` over ``k + 1`` pairs by words without ``b``,
+  grown by the same ``_grow``.
 * ``cover_code`` joins per-word cover families into covers of a code over
   word bitmasks, ``cover_bound`` is the deficiency bound on a partial
   cover, and
@@ -542,6 +545,39 @@ def enumerate_minimal_covers(
     return tuple(sorted(out))
 
 
+# cube tiling codes --------------------------------------------------------
+
+def tiling_codes(alphabet: Alphabet, dim: int) -> set[Code]:
+    """Every cube tiling code of dimension ``dim`` over the alphabet's ``k``
+    pairs, each a sorted tuple of its ``2**dim`` words.
+
+    A tiling code is an exact cover of ``b...b`` over ``k + 1`` pairs by
+    words without ``b``.  In ``_cell_tables`` the box of ``b...b`` over
+    ``k + 1`` pairs splits into one value per position for each choice of
+    side on the ``k`` pairs other than ``b``'s: exactly the cells of the
+    ``k``-pair realization.  The level-0 pool words, those without ``b``,
+    are exactly the words over those ``k`` pairs, and their sub-boxes are
+    those words' boxes.  Pairwise dichotomous words have disjoint boxes, so
+    the exact covers of the box by level-0 words are the tiling codes, and
+    ``_grow`` yields each one exactly once.  Level-0 words hold neither
+    ``b`` nor ``b'``, so each letter above them moves down two places to
+    its letter over ``k`` pairs.  Refused, like every pool, when the pool
+    would pass ``POOL_ROW_BYTES_CAP``, and below dimension 2, where no pool
+    word holds ``b`` for the cell tables to read."""
+    if dim < 2:
+        raise ValueError("tiling codes are enumerated from dimension 2")
+    pool = _cover_pool(alphabet.pair_count + 1, dim)
+    letter = [s - 2 * (s > ANCHOR_LETTER) for s in range(2 * alphabet.pair_count + 2)]
+    words = [tuple(letter[s] for s in w) for w in pool.words]
+    found: set[Code] = set()
+
+    def collect(ids: frozenset[int]) -> None:
+        found.add(tuple([words[i] for i in sorted(ids)]))
+
+    _grow((), pool.level_masks[0], (0,) * 2**dim, pool, collect, twin_free=False)
+    return found
+
+
 # covers of codes ----------------------------------------------------------
 
 def cover_code(
@@ -613,44 +649,25 @@ def cover_code(
 
 # deficiency bound ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PruneContext:
-    """A partial cover ``partial`` of ``target``, a candidate pool and the
-    number of words still allowed."""
-
-    partial: Code
-    target: Code
-    pool: tuple[Word, ...]
-    slots: int
-
-
-def candidate_pool(ctx: PruneContext) -> tuple[Word, ...]:
-    """Pool words that extend the partial code and meet the target."""
-    out = []
-    for q in ctx.pool:
-        if q in ctx.partial:
-            continue
-        if cover_weight(q, ctx.target) == 0:
-            continue
-        if all(is_dichotomous(q, v) for v in ctx.partial):
-            out.append(q)
-    return tuple(out)
-
-
-def cover_bound(ctx: PruneContext) -> int:
+def cover_bound(partial: Code, target: Code, pool: Iterable[Word], slots: int) -> int:
     """1 when the ``slots`` heaviest candidates could still make up the
-    uncovered weight of the target, 0 when they provably cannot.  Never 0
-    if a completion exists: each added word contributes exactly its own
-    weight against the target."""
-    if not ctx.target:
+    uncovered weight of the target, 0 when they provably cannot.  The
+    candidates are the pool words that extend the partial code and meet the
+    target.  Never 0 if a completion exists: each added word contributes
+    exactly its own weight against the target."""
+    if not target:
         raise ValueError("bound needs a non-empty target")
-    dim = len(ctx.target[0])
-    deficiency = sum((1 << dim) - cover_weight(v, ctx.partial) for v in ctx.target)
-    weights = sorted(
-        (cover_weight(q, ctx.target) for q in candidate_pool(ctx)), reverse=True
-    )
-    reachable = sum(weights[: ctx.slots])
-    return 1 if reachable >= deficiency else 0
+    dim = len(target[0])
+    deficiency = sum((1 << dim) - cover_weight(v, partial) for v in target)
+    weights = []
+    for q in pool:
+        if q in partial:
+            continue
+        weight = cover_weight(q, target)
+        if weight and all(is_dichotomous(q, v) for v in partial):
+            weights.append(weight)
+    weights.sort(reverse=True)
+    return 1 if sum(weights[:slots]) >= deficiency else 0
 
 
 # rebuilding the second code -----------------------------------------------

@@ -351,6 +351,12 @@ class TestRepro:
         assert "expected 17793 computed 17793 [ok]" in out
         assert "connectivity: PASS" in out
 
+    def test_d2_connectivity_job(self, capsys):
+        assert run("repro", "d2-connectivity") == 0
+        out = capsys.readouterr().out
+        assert "expected 12 computed 12 [ok]" in out
+        assert "d2-connectivity: PASS" in out
+
     def test_long_only_guard(self, capsys):
         assert run("repro", "sabc-partial") == 2
         assert "--long" in capsys.readouterr().err

@@ -11,6 +11,8 @@ from random import Random
 import pytest
 from polybox.alphabet import Alphabet
 from polybox.core import (
+    _dichotomy_row,
+    _letter_masks,
     are_equivalent,
     binary_code_set,
     code_covered,
@@ -27,9 +29,9 @@ from polybox.iso import dedup_orbits, word_stabilizer
 from polybox.moves import twin_pairs
 from polybox import search
 from polybox.pbxio import parse_word
+from polybox.sampling import random_tiling_code
 from polybox.search import (
     ANCHOR_LETTER,
-    PruneContext,
     _cover_pool,
     _grow,
     _top_transversal,
@@ -39,6 +41,7 @@ from polybox.search import (
     enumerate_minimal_covers,
     find_second_codes,
     standard_seeds,
+    tiling_codes,
     weight_compositions,
 )
 
@@ -243,17 +246,13 @@ class TestEnumerateThroughTopWords:
 
 class TestCoverBound:
     def test_nothing_left_but_uncovered(self):
-        ctx = PruneContext(partial=(), target=(W("bb"),), pool=(), slots=0)
-        assert cover_bound(ctx) == 0
+        assert cover_bound((), (W("bb"),), (), 0) == 0
 
     def test_documented_d2_instance(self):
         pool = tuple(
             sorted(itertools.product(range(4), repeat=2))
         )
-        ctx = PruneContext(
-            partial=make_code([W("ab")]), target=(W("bb"),), pool=pool, slots=1
-        )
-        assert cover_bound(ctx) == 1
+        assert cover_bound(make_code([W("ab")]), (W("bb"),), pool, 1) == 1
 
     def test_soundness_on_random_small_instances(self):
         rng = Random(13)
@@ -272,9 +271,6 @@ class TestCoverBound:
                     partial.append(q)
             partial = tuple(sorted(partial))
             slots = rng.randrange(0, 4)
-            ctx = PruneContext(
-                partial=partial, target=(target_word,), pool=tuple(every), slots=slots
-            )
             exists = False
             for combo in itertools.combinations(
                 [q for q in meeting if q not in partial], slots
@@ -284,7 +280,7 @@ class TestCoverBound:
                     exists = True
                     break
             if exists:
-                assert cover_bound(ctx) == 1
+                assert cover_bound(partial, (target_word,), every, slots) == 1
 
 
 class TestCoverCode:
@@ -655,3 +651,67 @@ class TestCoverWordAgainstSlowTwin:
         # the first cursor skips nothing, and each later one cuts more off
         assert counts[0] == len(whole) and counts[-1] == 0
         assert counts == sorted(set(counts), reverse=True)
+
+
+# slow twin: the census of cube tiling codes as a backtracker over the
+# dichotomy masks of the whole word space, no cells and no pool ---------
+
+def slow_tiling_census(alphabet: Alphabet, dim: int) -> set:
+    words = list(itertools.product(alphabet.letters(), repeat=dim))
+    masks = _letter_masks(words)
+    rows = [_dichotomy_row(masks, v) for v in words]
+    found = set()
+    chosen = []
+
+    def rec(candidates: int, need: int) -> None:
+        if need == 0:
+            found.add(tuple(chosen))
+            return
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            chosen.append(words[j])
+            rec(candidates & rows[j], need - 1)
+            chosen.pop()
+
+    rec((1 << len(words)) - 1, 1 << dim)
+    return found
+
+
+class TestTilingCodes:
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_d3_against_the_backtracker(self, pairs):
+        alphabet = Alphabet(pairs)
+        assert tiling_codes(alphabet, 3) == slow_tiling_census(alphabet, 3)
+
+    @pytest.mark.parametrize("pairs, count", [(1, 1), (2, 12)])
+    def test_d2_against_brute_force(self, pairs, count):
+        alphabet = Alphabet(pairs)
+        words = itertools.product(alphabet.letters(), repeat=2)
+        brute = {c for c in itertools.combinations(words, 4) if is_polybox_code(c)}
+        got = tiling_codes(alphabet, 2)
+        assert got == brute == slow_tiling_census(alphabet, 2)
+        assert len(got) == count
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_sampled_codes_are_members(self, pairs):
+        alphabet = Alphabet(pairs)
+        census = tiling_codes(alphabet, 3)
+        for seed in range(20):
+            assert random_tiling_code(alphabet, 3, Random(seed)) in census
+
+    def test_large_pools_are_refused_before_building(self):
+        # (7, 3): 145 MB of bitmask rows and cell tables
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cover pool too large"):
+                tiling_codes(Alphabet(6), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dimension_one_is_refused(self):
+        with pytest.raises(ValueError, match="from dimension 2"):
+            tiling_codes(Alphabet(2), 1)
