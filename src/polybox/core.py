@@ -51,12 +51,13 @@ def is_dichotomous(v: Word, w: Word) -> bool:
 # bitmask kernel: unchecked, over a list of proper words of one dimension;
 # bit ``j`` of a mask stands for ``words[j]`` -------------------------------
 
-def _letter_masks(words: Sequence[Word]) -> list[list[int]]:
-    """Per position and letter (both letters of every pair in use), the
-    mask of the words with that letter there: the position's letters, last
-    word first, as a binary numeral with "1" where the letter stands."""
+def _letter_masks(words: Sequence[Word], size: int = 0) -> list[list[int]]:
+    """Per position and letter (the first ``size`` letters and both letters
+    of every pair in use), the mask of the words with that letter there:
+    the position's letters, last word first, as a binary numeral with "1"
+    where the letter stands."""
     columns = [bytes(c) for c in zip(*reversed(words))]
-    letters = bytes(range((max(map(max, columns), default=0) | 1) + 1))
+    letters = bytes(range(max((max(map(max, columns), default=0) | 1) + 1, size)))
     digits = [
         bytes.maketrans(letters, bytes(49 if t == s else 48 for t in letters))
         for s in letters

@@ -9,8 +9,10 @@ Flip reachability is explored by breadth-first search over whole codes
 with an explicit state budget; exhaustion of the budget is reported, never
 guessed away.  A search state is one int, a bit per word of the space
 (``core._Packing``): the twin pairs at a position are one shift and two masks
-away, and a flip toggles four bits.  Codes are checked once on entry, and
-words and moves are built only for what is returned.
+away, and each successor is the state xor one four-bit pattern from a table
+built once per word space, shifted to the pair.  Codes are checked once on
+entry, by masks, and words and moves are built only for what is returned: a
+trace's moves are read back from the four bits each flip toggles.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .alphabet import STAR, Alphabet
+from .alphabet import MAX_DIM, STAR, Alphabet
 from .core import (
     Code,
     Word,
@@ -129,18 +131,42 @@ class _FlipPacking(_Packing):
     """A ``core._Packing`` with what flips need.  Flips keep a code's
     size, so a larger state int is a lex-smaller code.  At a position of
     place value ``p``, the twin of a word with an unprimed letter is the
-    word plus ``p``, ``p`` bits lower."""
+    word plus ``p``, ``p`` bits lower.
+
+    Successors come from a pattern table built once per packing.  Per
+    position and unprimed letter ``s`` it keeps the mask of the words with
+    ``s`` there, and per other unprimed letter ``t`` one ``(offset,
+    pattern)`` whose four bits are a twin pair and its cut along ``t``: the
+    flip of the pair whose unprimed word is at bit ``b`` is ``state ^
+    pattern << b - offset``."""
 
     def __init__(self, alphabet: Alphabet, dim: int) -> None:
         size = alphabet.size**dim
         if size > STATE_BITS_CAP:
             raise ValueError(f"flip search too large: {size:,} words (cap {STATE_BITS_CAP:,})")
         super().__init__(alphabet, dim)
-        # (position, place, mask of the unprimed letters)
-        self.places = [
-            (i, place, sum(self.letters[i][::2]))
-            for i, place in enumerate(place_values(alphabet, dim))
-        ]
+        self.dim = dim
+        unprimed = alphabet.unprimed()
+        # per position, (place, [(mask of s, index of s's cuts) per s]); an
+        # index is position * pairs + pair, so larger ones sit at smaller places
+        self.table: list[tuple[int, list[tuple[int, int]]]] = []
+        self.cuts: list[list[tuple[int, int]]] = []
+        self.directions = {}  # place -> position
+        for i, place in enumerate(place_values(alphabet, dim)):
+            pair = 1 | 1 << place
+            rows = []
+            for s in unprimed:
+                rows.append((self.letters[i][s], len(self.cuts)))
+                self.cuts.append([
+                    # the lowest of the four bits is the primed word of the
+                    # lower pair, at ``b - offset``
+                    (place + max(t - s, 0) * place, pair | pair << abs(t - s) * place)
+                    for t in unprimed
+                    if t != s
+                ])
+            self.table.append((place, rows))
+            self.directions[place] = i
+        self.index_bits = len(self.cuts).bit_length()
 
     def check_memory(self, state_budget: int) -> None:
         """Refuse a budget whose states could fill more than
@@ -161,26 +187,62 @@ class _FlipPacking(_Packing):
             apart |= masks[s ^ 1] if s ^ 1 < self.radix else 0
         return (2 << self.top) - 1 ^ apart
 
-    def flips(self, state: int) -> list[tuple[int, int, int, int, int]]:
-        """``(v, place, direction, t, successor)`` for every single flip of
-        the twin pair ``v``, ``v + place``: cut along ``t``/``t'``.  Sorted,
-        they come in the order of ``v``, then the twin, then ``t``."""
-        top, radix, unprimed, flips = self.top, self.radix, self.alphabet.unprimed(), []
-        for i, place, mask in self.places:
-            twins = state & state << place & mask
-            while twins:
-                b = twins.bit_length() - 1
-                twins ^= 1 << b
-                v = top - b
-                s = v // place % radix
-                two = (1 | 1 << place) << b - place
-                # the pair moved to the last unprimed letter, and up from there
-                last = two >> (radix - 2 - s) * place
-                for t in unprimed:
-                    if t != s:
-                        successor = state ^ two | last << (radix - 2 - t) * place
-                        flips.append((v, place, i, t, successor))
-        return flips
+    def state(self, code: Code) -> Optional[int]:
+        """The state of a non-empty code of this packing's words, checked
+        by masks: no two words are equal, and each is met by itself alone.
+        None for anything else."""
+        top, alphabet = self.top, self.alphabet
+        try:
+            if not code or any(len(v) != self.dim for v in code):
+                return None
+            bits = [1 << top - pack_word(v, alphabet) for v in code]
+        except (TypeError, ValueError):
+            return None
+        state = sum(bits)
+        if state.bit_count() != len(bits):
+            return None
+        if any(state & self.meeting(v) != bit for v, bit in zip(code, bits)):
+            return None
+        return state
+
+    def successors(self, state: int) -> list[int]:
+        """Every state one flip away, in no particular order."""
+        cuts, out = self.cuts, []
+        append = out.append
+        for place, rows in self.table:
+            paired = state & state << place
+            if not paired:
+                continue
+            for mask, index in rows:
+                twins = paired & mask
+                while twins:
+                    b = twins.bit_length() - 1
+                    twins ^= 1 << b
+                    for offset, pattern in cuts[index]:
+                        append(state ^ pattern << b - offset)
+        return out
+
+    def ordered_successors(self, state: int) -> Iterator[int]:
+        """The states one flip away in the order of the flipped pair's
+        unprimed word, then its twin, then the letter cut along."""
+        cuts, shift, keys = self.cuts, self.index_bits, []
+        for place, rows in self.table:
+            paired = state & state << place
+            if not paired:
+                continue
+            for mask, index in rows:
+                twins = paired & mask
+                while twins:
+                    b = twins.bit_length() - 1
+                    twins ^= 1 << b
+                    keys.append(b << shift | index)
+        # higher bits are smaller words, and larger indices smaller places
+        keys.sort(reverse=True)
+        low = (1 << shift) - 1
+        for key in keys:
+            b = key >> shift
+            for offset, pattern in cuts[key & low]:
+                yield state ^ pattern << b - offset
 
     def search(
         self, start: int, found: Callable[[int], object], state_budget: int
@@ -190,26 +252,33 @@ class _FlipPacking(_Packing):
         self.check_memory(state_budget)
         if found(start):
             return Verdict.YES, ()
-        parents: dict[int, tuple] = {start: ()}
+        parents: dict[int, Optional[int]] = {start: None}
         queue = [start]
         for current in queue:
-            for v, place, i, t, successor in sorted(self.flips(current)):
+            for successor in self.ordered_successors(current):
                 if successor in parents:
                     continue
                 if len(parents) >= state_budget:
                     return Verdict.EXCEEDED, None
-                parents[successor] = (current, v, v + place, i, t)
+                parents[successor] = current
                 if found(successor):
                     return Verdict.YES, self._trace(parents, successor)
                 queue.append(successor)
         return Verdict.NO, None
 
-    def _trace(self, parents: dict, state: int) -> tuple[FlipMove, ...]:
-        words = self.words
-        trace = []
-        while parents[state]:
-            state, v, w, i, t = parents[state]
+    def _trace(self, parents: dict[int, Optional[int]], state: int) -> tuple[FlipMove, ...]:
+        """Each move from the four bits a flip toggles: the pair it removes
+        is ``v``, ``w`` and the direction, the unprimed word it adds has
+        ``t`` there."""
+        words, top, trace = self.words, self.top, []
+        while (parent := parents[state]) is not None:
+            removed, added = parent & ~state, state & ~parent
+            v = top - removed.bit_length() + 1
+            w = top - (removed & -removed).bit_length() + 1
+            i = self.directions[w - v]
+            t = words[top - added.bit_length() + 1][i]
             trace.append(FlipMove(pair=(words[v], words[w]), direction=i, letters=(t, t ^ 1)))
+            state = parent
         return tuple(reversed(trace))
 
 
@@ -218,9 +287,22 @@ _packing = lru_cache(maxsize=8)(_FlipPacking)
 
 
 def _packed(code: Code, alphabet: Alphabet) -> tuple[_FlipPacking, int]:
-    """The packing of a code, checked on entry, and its state."""
-    packing = _packing(alphabet, _dim(make_code(code, alphabet)))
-    return packing, packing.pack(code)
+    """The packing of a code and its state, the code checked on entry by
+    masks.  An empty code, or one the masks refuse, goes through
+    ``make_code``, which says why it is refused."""
+    state = None
+    if code and len(code[0]) <= MAX_DIM:
+        try:
+            packing = _packing(alphabet, len(code[0]))
+        except ValueError:  # too large, said once the code is checked
+            pass
+        else:
+            state = packing.state(code)
+    if state is None:
+        code = make_code(code, alphabet)
+        packing = _packing(alphabet, _dim(code))
+        state = packing.pack(code)
+    return packing, state
 
 
 def twin_pairs(code: Code) -> list[tuple[Word, Word, int]]:
@@ -240,8 +322,7 @@ def twin_pairs(code: Code) -> list[tuple[Word, Word, int]]:
 def neighbors(code: Code, alphabet: Alphabet) -> tuple[Code, ...]:
     """The codes one flip away, sorted."""
     packing, state = _packed(code, alphabet)
-    successors = {flip[-1] for flip in packing.flips(state)}
-    return tuple(map(packing.unpack, sorted(successors, reverse=True)))
+    return tuple(map(packing.unpack, sorted(packing.successors(state), reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -283,8 +364,10 @@ def closure(
         )
 
     for index, current in enumerate(queue):
-        successors = {flip[-1] for flip in packing.flips(current)} - visited
-        for successor in sorted(successors, reverse=True):  # by code, ascending
+        # the flips of a code give distinct codes
+        successors = [s for s in packing.successors(current) if s not in visited]
+        successors.sort(reverse=True)  # by code, ascending
+        for successor in successors:
             if len(visited) >= state_budget:
                 return result(len(queue) - index)
             visited.add(successor)
@@ -302,10 +385,12 @@ def find_flip_path(
     replays exactly.  At most ``state_budget`` states are kept; meeting one
     more exceeds it."""
     packing, packed = _packed(start, alphabet)
-    goal = make_code(goal, alphabet)
-    # a goal of another dimension is never met, and its packed words could
-    # collide with the start's
-    target = packing.pack(goal) if _dim(goal) == _dim(start) else None
+    target = packing.state(goal)
+    if target is None:
+        goal = make_code(goal, alphabet)
+        # a goal of another dimension is never met, and its packed words
+        # could collide with the start's
+        target = packing.pack(goal) if _dim(goal) == packing.dim else None
     return packing.search(packed, lambda state: state == target, state_budget)
 
 

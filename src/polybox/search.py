@@ -201,7 +201,8 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
     level_masks = [0] * dim
     for i, w in enumerate(words):
         level_masks[w.count(ANCHOR_LETTER)] |= 1 << i
-    masks = _letter_masks(words)
+    # rows for every letter: at d=1 over two pairs no pool word holds b
+    masks = _letter_masks(words, 2 * pair_count)
     dichotomous = [_dichotomy_row(masks, w) for w in words]
 
     def twins(w: Word) -> int:

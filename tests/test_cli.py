@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from polybox.alphabet import Alphabet
 from polybox.catalog import example_pair, special_pair
+from polybox.core import is_polybox_code
 from polybox.cli import main
 from polybox.moves import closure
 from polybox.pbxio import format_code, parse_code
+from polybox.realize import oracle_is_covered
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "polybox" / "data"
@@ -249,6 +252,21 @@ class TestCovers:
         argv = ["covers", "--word", "bbbbb", "--size", "7", "--pairs", "2"]
         assert run(*argv, "--resume", "99,0") == 0
         assert "raw covers: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_one_dimensional_twin_pair_covers(self, capsys, pairs):
+        """At d=1 over two pairs no pool word holds b; the count is the
+        oracle's over every two-word code of the other letters."""
+        alphabet = Alphabet(pairs)
+        argv = ["covers", "--word", "b", "--size", "2", "--pairs", str(pairs), "--twin-pairs"]
+        assert run(*argv) == 0
+        expected = sum(
+            oracle_is_covered((2,), pair, alphabet)
+            for pair in itertools.combinations([(s,) for s in alphabet.letters() if s != 2], 2)
+            if is_polybox_code(pair)
+        )
+        assert expected == pairs - 1
+        assert f"raw covers: {expected}\n" in capsys.readouterr().out
 
     def test_oversized_pool_refused(self, capsys):
         # 5**7 - 1 words: two tables of 78,124-bit rows, about 1.5 GB; with

@@ -157,7 +157,8 @@ SIMPLE_D2 = make_code(itertools.product((0, 1), repeat=2))
 
 
 class TestSeedsAreChecked:
-    """Seeds and goals pass through ``make_code`` on entry."""
+    """Seeds and goals are checked on entry, and refused with the message
+    ``make_code`` gives."""
 
     def test_unsorted_seed_is_not_a_state_of_its_own(self):
         result = closure(tuple(reversed(SIMPLE_D2)), Alphabet(2))
@@ -188,6 +189,49 @@ class TestSeedsAreChecked:
     def test_non_codes_are_refused(self):
         with pytest.raises(ValueError, match="dichotomous"):
             closure((W("a"), W("b")), Alphabet(2))
+
+    # (word, code, message): each code is refused by every entry point with
+    # the message ``make_code`` gives, or an earlier check's where the word
+    # is checked against the code first
+    REFUSED = {
+        "joker": ((0, 0), ((0, STAR), (1, 0)), "proper word required: a*"),
+        "outside": ((4,), ((4,),), "letter outside alphabet in c"),
+        "duplicate": ((0,), ((0,), (1,), (1,)), "duplicate word a'"),
+        "mixed": ((0,), ((1, 0), (0,)), "mixed dimensions in code"),
+        "non-dichotomous": ((0, 0), ((0, 2), (2, 0)), "not dichotomous: ab / ba"),
+        "above the cap": ((0,) * 9, ((0,) * 9,), "dimension 9 above the cap of 8"),
+    }
+    ENTRIES = {
+        "closure": lambda word, code: closure(code, Alphabet(2)),
+        "neighbors": lambda word, code: neighbors(code, Alphabet(2)),
+        "path start": lambda word, code: find_flip_path(code, SIMPLE_D2, Alphabet(2)),
+        "path goal": lambda word, code: find_flip_path(SIMPLE_D2, code, Alphabet(2)),
+        "lock": lambda word, code: is_locked_cover(word, code, Alphabet(2)),
+        "extraction": lambda word, code: extract_word(code, word, Alphabet(2)),
+    }
+    # the lock test and extraction weigh the word against each member first
+    EARLIER = {("mixed", "lock"): "dimension mismatch: 2 vs 1",
+               ("mixed", "extraction"): "dimension mismatch: 2 vs 1"}
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_every_refusal_keeps_its_message(self, case, entry):
+        word, code, message = self.REFUSED[case]
+        with pytest.raises(ValueError) as refused:
+            self.ENTRIES[entry](word, code)
+        assert str(refused.value) == self.EARLIER.get((case, entry), message)
+
+    def test_a_non_code_is_refused_before_its_word_space(self):
+        """Five pairs at d=5 are too many words for a flip search, but a
+        non-code is refused for what it is."""
+        code = ((0,) * 5, (2,) * 5)
+        for search in (
+            lambda: closure(code, Alphabet(5)),
+            lambda: neighbors(code, Alphabet(5)),
+            lambda: find_flip_path(code, code, Alphabet(5)),
+        ):
+            with pytest.raises(ValueError, match="not dichotomous: aaaaa / bbbbb"):
+                search()
 
     def test_goal_of_another_dimension_is_never_met(self):
         # (a, a') packs to the same ints as (aa, aa') over two pairs
@@ -560,6 +604,35 @@ def _simple(dim):
     return make_code(itertools.product((0, 1), repeat=dim))
 
 
+def _walked(code, alphabet, rng, steps):
+    """The end of a seeded walk of ``steps`` flips, taken by the slow twin."""
+    for _ in range(steps):
+        successors = [successor for _, successor in slow_neighbor_moves(code, alphabet)]
+        if not successors:
+            break
+        code = rng.choice(successors)
+    return code
+
+
+def _deep_codes():
+    """Tiling codes at d=5 and d=6 over two pairs (seeded flip walks from
+    the simple code; ``random_tiling_code`` does not return at d=6) and at
+    d=4 over three pairs, and a greedy code cut short beside each."""
+    rng = Random(20261019)
+    out = []
+    for dim, pairs in ((5, 2), (6, 2), (4, 3)):
+        alphabet = Alphabet(pairs)
+        for _ in range(2):
+            if dim == 4:
+                tiling = random_tiling_code(alphabet, dim, rng)
+            else:
+                tiling = _walked(_simple(dim), alphabet, rng, 12)
+            out.append((alphabet, tiling))
+            size = rng.randrange(2, 1 << dim)
+            out.append((alphabet, random_code(alphabet, dim, rng, max_size=size)))
+    return out
+
+
 class TestAgainstSlowTwins:
     def test_twin_pairs_and_neighbors(self):
         seeded = _seeded_codes()
@@ -610,6 +683,31 @@ class TestAgainstSlowTwins:
                 cases.append(
                     (alphabet, random_tiling_code(alphabet, dim, rng), random_tiling_code(alphabet, dim, rng))
                 )
+        verdicts = set()
+        for alphabet, start, goal in cases:
+            for budget in (3000, 50):
+                found = find_flip_path(start, goal, alphabet, budget)
+                assert found == slow_find_flip_path(start, goal, alphabet, budget)
+                verdicts.add(found[0])
+        assert verdicts == set(Verdict)
+
+    def test_neighbors_beyond_d4(self):
+        deep = _deep_codes()
+        for alphabet, code in deep:
+            assert neighbors(code, alphabet) == slow_neighbors(code, alphabet)
+        assert any(not slow_twin_pairs(code) for _, code in deep)
+        assert any(len(slow_twin_pairs(code)) > 20 for _, code in deep)
+
+    def test_goal_searches_beyond_d4(self):
+        """Goals one, two and six flips from the start, and the start of
+        the next code of the same space."""
+        rng, cases = Random(6), []
+        deep = _deep_codes()
+        for (alphabet, start), (_, other) in zip(deep, deep[2:]):
+            if len(start[0]) == len(other[0]):
+                cases.append((alphabet, start, other))
+            for steps in (1, 2, 6):
+                cases.append((alphabet, start, _walked(start, alphabet, rng, steps)))
         verdicts = set()
         for alphabet, start, goal in cases:
             for budget in (3000, 50):
