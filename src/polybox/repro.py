@@ -247,7 +247,8 @@ def job_oracle_fuzz(long: bool) -> JobReport:
             if total >= rounds:
                 break
     report.check(f"agreement on {total} instances", total, agree)
-    report.note(f"covered instances among them: {covered_cases}")
+    # frozen: the count pins the seeded stream of codes and words
+    report.check("covered instances among them", 1724 if long else 557, covered_cases)
     return report
 
 

@@ -14,8 +14,9 @@ from polybox.core import (
     is_polybox_code,
     twin_pair_direction,
 )
+from polybox.moves import STATE_BITS_CAP
 from polybox.realize import box
-from polybox.sampling import random_code, random_tiling_code, random_word
+from polybox.sampling import _packing, random_code, random_tiling_code, random_word
 from polybox.search import ANCHOR_LETTER, _cover_pool
 
 ORACLE_FUZZ_SEED = 20240831  # the stream of ``polybox repro oracle-fuzz``
@@ -115,6 +116,79 @@ def test_unconstrained_greedy_code_matches_its_slow_twin():
     code = twinned(random_code, slow_random_code, Counter())
     for dim, pairs in CASES:
         code(Alphabet(pairs), dim, rng)
+
+
+@pytest.mark.parametrize(
+    "dim, pairs", [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (4, 1), (5, 2)]
+)
+def test_spaces_beyond_the_fuzz_cases_match_their_slow_twins(dim, pairs):
+    """One position, or one letter pair, where every two distinct words
+    are dichotomous and a tiling code is the whole space; and greedy codes
+    at d=5, where the slow tiling twin would backtrack too long."""
+    alphabet = Alphabet(pairs)
+    tiling = twinned(random_tiling_code, slow_random_tiling_code, Counter())
+    code = twinned(random_code, slow_random_code, Counter())
+    rng = Random(10 * dim + pairs)
+    for max_size in (None, 1, 2, 2**dim, 2**dim + 1):
+        if dim < 5:
+            tiling(alphabet, dim, rng)
+        code(alphabet, dim, rng, max_size=max_size)
+
+
+def test_warm_cache_keeps_the_stream():
+    """A space's second call, with other spaces called in between, draws
+    and returns what its first call on a cold cache did."""
+    alphabet = Alphabet(3)
+
+    def calls(rng):
+        return [random_tiling_code(alphabet, 3, rng), random_code(alphabet, 3, rng, max_size=5)]
+
+    _packing.cache_clear()
+    first, second = Random(6), Random(6)
+    codes = calls(first)
+    other = Random(7)
+    for dim, pairs in CASES:
+        random_tiling_code(Alphabet(pairs), dim, other)
+        random_code(Alphabet(pairs), dim, other)
+    assert calls(second) == codes
+    assert second.getstate() == first.getstate()
+
+
+@pytest.mark.parametrize("max_size", [0, -5])
+def test_random_code_refuses_max_size_below_one(max_size):
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="max_size"):
+        random_code(Alphabet(2), 3, rng, max_size=max_size)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("generate", [random_code, random_tiling_code])
+def test_generators_refuse_dimension_zero(generate):
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="dimension"):
+        generate(Alphabet(2), 0, rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("generate", [random_code, random_tiling_code])
+@pytest.mark.parametrize("pairs, dim", [(8, 8), (8, 5), (3, 7), (2, 9)])
+def test_generators_refuse_word_spaces_over_the_cap(generate, pairs, dim):
+    """Refused before the packing is built or the shuffle list made."""
+    assert (2 * pairs) ** dim > STATE_BITS_CAP
+    rng = Random(1)
+    state, misses = rng.getstate(), _packing.cache_info().misses
+    with pytest.raises(ValueError, match="too large"):
+        generate(Alphabet(pairs), dim, rng)
+    assert rng.getstate() == state
+    assert _packing.cache_info().misses == misses
+
+
+def test_random_code_takes_a_word_space_at_the_cap():
+    assert Alphabet(8).size ** 4 == STATE_BITS_CAP
+    (word,) = random_code(Alphabet(8), 4, Random(1), max_size=1)
+    assert len(word) == 4
 
 
 def test_heavy_tailed_stream_completes():
