@@ -124,6 +124,10 @@ STATE_BITS_CAP = 1 << 16
 # each, so one whose budget could fill more than this is refused up front:
 # at the default budget, d=4 from six pairs, d=5 from four and d=6 from
 # three (5.8 GB).  Extraction at d=5 over three pairs could fill 0.97 GB.
+# The cap counts raw state bits only.  Python's per-int and per-set
+# overhead makes real peaks about 4x that: the exhausted BFS over the
+# 5,541,744 d=4 two-pair codes peaked at about 137 bytes a state, against
+# the 32 counted here.
 STATE_MEMORY_CAP = 2 << 30
 
 
@@ -170,7 +174,9 @@ class _FlipPacking(_Packing):
 
     def check_memory(self, state_budget: int) -> None:
         """Refuse a budget whose states could fill more than
-        ``STATE_MEMORY_CAP`` bytes."""
+        ``STATE_MEMORY_CAP`` bytes, counting each state's raw bits only:
+        the Python ints and the sets that hold them cost about 4x that
+        (137 against 32 bytes a state at d=4 over two pairs)."""
         state_bytes = (self.top + 8) // 8
         need = state_budget * state_bytes
         if need > STATE_MEMORY_CAP:

@@ -32,11 +32,11 @@ The workhorses:
 * ``tiling_codes`` lists every cube tiling code over ``k`` pairs as the
   exact covers of ``b...b`` over ``k + 1`` pairs by words without ``b``,
   grown by the same ``_grow``.
-* ``cover_code`` joins per-word cover families into covers of a code over
-  word bitmasks, ``cover_bound`` is the deficiency bound on a partial
-  cover, and
-  ``find_second_codes`` rebuilds the partner of a partially known
-  equivalent code from its binary codes.
+* ``cover_code`` joins per-word cover families into covers of a code,
+  drawing candidates by pigeonhole from a word index and checking them
+  over word bitmasks, ``cover_bound`` is the deficiency bound on a partial
+  cover, and ``find_second_codes`` rebuilds the partner of a partially
+  known equivalent code from its binary codes.
 """
 
 from __future__ import annotations
@@ -237,6 +237,20 @@ class _Lazy(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+class _Image(dict):
+    """Pool index to the rank of the word's image under one element: the
+    sum of its ``entries`` in the element's rank table, filled as met."""
+
+    __slots__ = ("entries", "table")
+
+    def __init__(self, entries: _Lazy, table: list[int]) -> None:
+        self.entries, self.table = entries, table
+
+    def __missing__(self, i: int) -> int:
+        rank = self[i] = sum(self.entries[i](self.table))
+        return rank
 
 
 class _Ranks:
@@ -489,10 +503,12 @@ def enumerate_minimal_covers(
 
     Images are taken over ranks: a pool word's rank is its mixed-radix
     number over the letters but ``b'``, in lex order, and an element adds
-    up one table entry per position.  A ``keep`` predicate filters covers
-    as they stream out, keeping memory flat for large families.  It sees
-    them in search order, not in the sorted order returned, so it must be
-    a pure predicate of the cover."""
+    up one table entry per position.  Each element keeps a dict from pool
+    index to image rank (``_Image``), built per composition and filled as
+    covers meet the word; the verdict filter and the mapping both read it.
+    A ``keep`` predicate filters covers as they stream out, keeping memory
+    flat for large families.  It sees them in search order, not in the
+    sorted order returned, so it must be a pure predicate of the cover."""
     dim = len(u)
     if any(s != ANCHOR_LETTER for s in u):
         raise ValueError("cover enumeration is anchored at the constant word b...b")
@@ -514,31 +530,27 @@ def enumerate_minimal_covers(
         )
         w0 = bisect_left(words, (0,) * (dim - top) + (ANCHOR_LETTER,) * top)
         # filled at the first cover through w0: the dead profiles need neither
-        elements: list[tuple[int, list[int]]] = []
+        elements: list[_Image] = []
         top_ids: set[int] = set()
-        verdicts: dict[frozenset[int], list] = {}
+        verdicts: dict[frozenset[int], list[_Image]] = {}
 
         def collect(ids: frozenset[int]) -> None:
             if not elements:
-                w0_entries = entries[w0]
                 for _, source, maps in _top_transversal(alphabet.pair_count, dim, top):
-                    table = ranks.table(source, maps)
-                    rank = sum(w0_entries(table))
-                    elements.append((rank, table))
+                    image = _Image(entries, ranks.table(source, maps))
+                    rank = image[w0]
+                    elements.append(image)
                     top_ids.add(rank - (rank > gap))
             key = ids & top_ids
             chosen = verdicts.get(key)
             if chosen is None:
                 # the elements under which w0's image stays the lowest top word
                 chosen = elements
-                for image in [entries[i] for i in key if i != w0]:
-                    chosen = [(rank, table) for rank, table in chosen if sum(image(table)) > rank]
+                for i in key - {w0}:
+                    chosen = [image for image in chosen if image[i] > image[w0]]
                 verdicts[key] = chosen
-            images = [entries[i] for i in ids if i != w0]
-            for rank, table in chosen:
-                code_ranks = [rank, *[sum(image(table)) for image in images]]
-                code_ranks.sort()
-                code = tuple([by_rank[r] for r in code_ranks])
+            for image in chosen:
+                code = itemgetter(*sorted(map(image.__getitem__, ids)))(by_rank)
                 if keep is None or keep(code):
                     out.append(code)
 
@@ -590,14 +602,18 @@ def cover_code(
     joining one cover per word.
 
     The families' words are indexed once, and each cover becomes a sorted
-    tuple of word indices.  A partial cover ``P`` joins a cover ``D`` when
-    the union stays within ``max_size``, so when they share at least
-    ``|P| + |D| - max_size`` words; when that least overlap is positive
-    for every pair, the candidates are found by counting, per cover of the
-    family, the words it shares with ``P`` through an index from word to
-    covers.  The words ``D`` adds must then be dichotomous with all of
-    ``P`` (those it shares are its own words already): one
-    ``_dichotomy_row`` per word of ``P``, ANDed."""
+    tuple of word indices.  A partial cover ``P`` of ``p`` words joins a
+    cover ``D`` of ``q`` words when the union stays within ``max_size``,
+    so when they share at least ``s = p + q - max_size`` words.  Each
+    family's covers are bucketed by size, with per word the covers of that
+    size that hold it.  When ``s > 0``, a size-``q`` cover that shares
+    ``s`` words with ``P`` holds one of any ``p - s + 1`` of them
+    (pigeonhole), so the candidates are the covers that hold one of the
+    ``p - s + 1`` words of ``P`` held by the fewest covers of the family;
+    otherwise every size-``q`` cover is one.  Each candidate is then
+    checked exactly: it adds at most ``max_size - p`` words, each
+    dichotomous with all of ``P`` (those it shares are its own words
+    already): one ``_dichotomy_row`` per word of ``P``, ANDed."""
     words = sorted(code)
     if not words:
         raise ValueError("cannot cover an empty code")
@@ -613,29 +629,42 @@ def cover_code(
             raise ValueError(f"proper word required: {format_plain(w)}")
     index = {w: i for i, w in enumerate(universe)}
     masks = _letter_masks(universe)
-    rows = [_dichotomy_row(masks, w) for w in universe]
+    # built only for the words of partial covers that have candidates
+    rows = _Lazy(lambda i: _dichotomy_row(masks, universe[i]))
 
     def members(fam: list[Code]) -> list[tuple[int, ...]]:
-        return sorted({tuple(sorted(index[w] for w in c)) for c in fam})
+        return sorted({tuple(sorted(map(index.__getitem__, c))) for c in fam})
 
     current = members(fams[0])
     for fam in map(members, fams[1:]):
-        # the least overlap any union within max_size needs
-        least = min(map(len, current), default=0) + min(map(len, fam), default=0) - max_size
-        containing: dict[int, list[int]] = {}
+        # per cover size: the covers of that size, and per word those of
+        # them that hold it
+        by_size: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
         for m, ids in enumerate(fam):
+            every, holding = by_size.setdefault(len(ids), ([], {}))
+            every.append(m)
             for i in ids:
-                containing.setdefault(i, []).append(m)
+                holding.setdefault(i, []).append(m)
+        held = Counter(itertools.chain.from_iterable(fam))
         new: set[tuple[int, ...]] = set()
         for partial in current:
-            room = max_size - len(partial)
-            if least > 0:
-                shared = Counter(itertools.chain.from_iterable(
-                    [containing.get(i, ()) for i in partial]
-                ))
-                candidates = [m for m, n in shared.items() if len(fam[m]) - n <= room]
-            else:
-                candidates = range(len(fam))
+            p = len(partial)
+            rare = sorted(partial, key=held.__getitem__)
+            found = []
+            for q, (every, holding) in by_size.items():
+                shared = p + q - max_size
+                if shared > 0:
+                    # each candidate holds one of any p - shared + 1 words
+                    # of the partial: take those in the fewest covers
+                    found.append(set(itertools.chain.from_iterable(
+                        [holding.get(i, ()) for i in rare[: p - shared + 1]]
+                    )))
+                else:
+                    found.append(every)
+            if not any(found):
+                continue
+            candidates = itertools.chain.from_iterable(found)
+            room = max_size - p
             have = set(partial)
             joinable = -1
             for i in partial:

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 from polybox.alphabet import Alphabet
 from polybox.core import (
+    Code,
     _dichotomy_row,
     _letter_masks,
     are_equivalent,
@@ -18,17 +19,20 @@ from polybox.core import (
     code_covered,
     cover_weight,
     density,
+    format_plain,
     is_covered,
     is_dichotomous,
     is_polybox_code,
+    is_proper,
     make_code,
     overlap_weight,
 )
 from polybox.catalog import special_pair
-from polybox.iso import dedup_orbits, word_stabilizer
+from polybox.iso import apply_code, dedup_orbits, word_stabilizer
 from polybox.moves import twin_pairs
 from polybox import search
 from polybox.pbxio import parse_word
+from polybox.repro import _mirror_to_second_word
 from polybox.sampling import random_tiling_code
 from polybox.search import (
     ANCHOR_LETTER,
@@ -319,8 +323,10 @@ class TestCoverCode:
 
     @pytest.mark.parametrize("max_size", [3, 4, 5, 6, 8])
     def test_matches_the_pairwise_join(self, max_size):
-        # covers of bbb and of two of its mirrors over three pairs; small caps
-        # need overlaps (the word index), large ones take every candidate
+        # covers of bbb and of two of its mirrors over three pairs, of two to
+        # four words; at caps 4-6 the first join takes candidates from the
+        # word index (s > 0) for some pairs of cover sizes and every cover of
+        # the size (s <= 0) for others
         alphabet = Alphabet(3)
         v = W("bbb")
         family = [c for n in (2, 3, 4) for c in enumerate_minimal_covers(v, n, alphabet)]
@@ -334,11 +340,44 @@ class TestCoverCode:
                 ))
                 for c in Random(len(flipped)).sample(family, 60)
             ]
+        sizes = {len(c) for c in family}
+        shares = {p + q - max_size for p in sizes for q in sizes}
+        assert (min(shares) <= 0 < max(shares)) == (max_size in (4, 5, 6))
+        # every third cover in reverse word order, and two covers twice
+        for word, fam in families.items():
+            fam[::3] = [c[::-1] for c in fam[::3]]
+            fam.extend([fam[1], tuple(sorted(fam[0]))])
         code = tuple(sorted(families))
         joint = cover_code(code, max_size, families)
         assert joint == slow_cover_code(code, max_size, families)
+        assert joint == counter_cover_code(code, max_size, families)
         for c in joint:
             assert is_polybox_code(c) and code_covered(code, c) and len(c) <= max_size
+
+    def test_matches_the_counter_join_on_the_anchor_pair(self):
+        # the sabc-partial families at sizes 5-7: covers of bbbbb over three
+        # pairs, twin-free, bridge-filtered as the repro job filters them,
+        # and their mirrors onto b'b'b'bb; 7,744 covers each, too many for
+        # the pairwise twin
+        alphabet = Alphabet(3)
+        w = tuple([ANCHOR_LETTER ^ 1] * 3 + [ANCHOR_LETTER] * 2)
+        bridges = {
+            q for q in itertools.product(alphabet.letters(), repeat=5)
+            if overlap_weight(q, w) > 0
+        }
+        family_v = [
+            c for size in (5, 6, 7)
+            for c in enumerate_minimal_covers(
+                V5, size, alphabet, twin_free=True,
+                keep=lambda c: len(c) - len(bridges.intersection(c)) <= 3,
+            )
+        ]
+        mirror = _mirror_to_second_word(alphabet)
+        families = {V5: family_v, w: [apply_code(mirror, c) for c in family_v]}
+        assert len(family_v) == 7744
+        joint = cover_code((V5, w), 8, families)
+        assert joint == counter_cover_code((V5, w), 8, families)
+        assert sum(len(c) == 8 for c in joint) == 64
 
 
 class TestFindSecondCodes:
@@ -385,6 +424,61 @@ def slow_cover_code(code, max_size, families):
                     new.add(union)
         current = new
     return tuple(sorted(tuple(sorted(c)) for c in current))
+
+
+# slow twin: ``cover_code`` as it was before the pigeonhole join, counting
+# per partial cover the words each family cover shares with it, kept
+# verbatim; it reaches the full-size families the pairwise twin cannot ---
+
+def counter_cover_code(code, max_size, families):
+    words = sorted(code)
+    if not words:
+        raise ValueError("cannot cover an empty code")
+    for u in words:
+        if u not in families or not families[u]:
+            raise ValueError("every word needs a non-empty cover family")
+    fams = [[c for c in families[u] if len(c) <= max_size] for u in words]
+    universe = sorted({w for fam in fams for c in fam for w in c})
+    if len({len(w) for w in universe}) > 1:
+        raise ValueError("the cover families mix dimensions")
+    for w in universe:
+        if not is_proper(w):
+            raise ValueError(f"proper word required: {format_plain(w)}")
+    index = {w: i for i, w in enumerate(universe)}
+    masks = _letter_masks(universe)
+    rows = [_dichotomy_row(masks, w) for w in universe]
+
+    def members(fam: list[Code]) -> list[tuple[int, ...]]:
+        return sorted({tuple(sorted(index[w] for w in c)) for c in fam})
+
+    current = members(fams[0])
+    for fam in map(members, fams[1:]):
+        # the least overlap any union within max_size needs
+        least = min(map(len, current), default=0) + min(map(len, fam), default=0) - max_size
+        containing: dict[int, list[int]] = {}
+        for m, ids in enumerate(fam):
+            for i in ids:
+                containing.setdefault(i, []).append(m)
+        new: set[tuple[int, ...]] = set()
+        for partial in current:
+            room = max_size - len(partial)
+            if least > 0:
+                shared = Counter(itertools.chain.from_iterable(
+                    [containing.get(i, ()) for i in partial]
+                ))
+                candidates = [m for m, n in shared.items() if len(fam[m]) - n <= room]
+            else:
+                candidates = range(len(fam))
+            have = set(partial)
+            joinable = -1
+            for i in partial:
+                joinable &= rows[i]
+            for m in candidates:
+                extra = [i for i in fam[m] if i not in have]
+                if len(extra) <= room and all(joinable >> i & 1 for i in extra):
+                    new.add(tuple(sorted(have.union(extra))))
+        current = sorted(new)
+    return tuple(tuple(universe[i] for i in ids) for ids in current)
 
 
 # slow twin: ``_grow`` as it was before the exact-cover phase, over counts
