@@ -129,6 +129,12 @@ def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
     return _DigitSum(alphabet.size, [letters] * dim, ())
 
 
+# Flip searches and random codes hold a code as a bit per word, and refuse
+# word spaces over this (8 KiB a code): d=5 from five pairs, d=6 from four,
+# d>=7 from three.  No repro job, bundled code or benchmark workload needs them.
+STATE_BITS_CAP = 1 << 16
+
+
 class _Packing:
     """Codes of one dimension over one alphabet as one int each: packed
     word ``w`` is bit ``top - w``.  Between codes of one size a larger int

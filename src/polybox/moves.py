@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .alphabet import MAX_DIM, STAR, Alphabet
 from .core import (
+    STATE_BITS_CAP,
     Code,
     Word,
     format_plain,
@@ -114,11 +115,6 @@ def apply_flip(code: Code, move: FlipMove) -> Code:
 def _dim(code: Code) -> int:
     return len(code[0]) if code else 0
 
-
-# A state costs a bit per word, so searches over more words than this
-# (8 KiB a state) are refused: d=5 from five pairs, d=6 from four, d>=7 from
-# three.  No repro job, bundled code or benchmark workload needs them.
-STATE_BITS_CAP = 1 << 16
 
 # A search keeps up to ``state_budget`` states of ``ceil(words / 8)`` bytes
 # each, so one whose budget could fill more than this is refused up front:

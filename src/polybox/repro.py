@@ -20,9 +20,7 @@ from .core import (
     are_equivalent,
     binary_code_set,
     common_density,
-    cover_weight,
     is_covered,
-    is_dichotomous,
     make_code,
     overlap_weight,
 )
@@ -46,7 +44,6 @@ from .moves import (
 from .realize import oracle_is_covered
 from .sampling import random_code, random_tiling_code, random_word
 from .search import (
-    cover_bound,
     cover_code,
     cover_word,
     enumerate_minimal_covers,
@@ -252,71 +249,6 @@ def job_oracle_fuzz(long: bool) -> JobReport:
     return report
 
 
-def _has_completion(partial: Code, target_word: Word, pool: list[Word], slots: int) -> bool:
-    """Brute-force: can ``slots`` pool words make the partial code a
-    minimal cover of the word?  Independent of the deficiency bound."""
-    dim = len(target_word)
-    need = (1 << dim) - cover_weight(target_word, partial)
-    usable = [
-        q
-        for q in pool
-        if q not in partial and all(is_dichotomous(q, v) for v in partial)
-    ]
-    weights = [overlap_weight(q, target_word) for q in usable]
-    top = 1 << (dim - 1)
-
-    def rec(start: int, left: int, slots_left: int) -> bool:
-        if slots_left == 0:
-            return left == 0
-        if left < slots_left or left > slots_left * top:
-            return False
-        for i in range(start, len(usable)):
-            if weights[i] <= left and all(
-                is_dichotomous(usable[i], usable[j])
-                for j in chosen
-            ):
-                chosen.append(i)
-                if rec(i + 1, left - weights[i], slots_left - 1):
-                    chosen.pop()
-                    return True
-                chosen.pop()
-        return False
-
-    chosen: list[int] = []
-    return rec(0, need, slots)
-
-
-def job_cover_bound_soundness(long: bool) -> JobReport:
-    """Exhaustively confirms the deficiency bound never rules out a
-    completable partial cover (dimensions 1-3, two pairs)."""
-    report = JobReport("cover-bound-soundness", True)
-    alphabet = Alphabet(2)
-    unsound = checked = completable = 0
-    for dim in (1, 2, 3):
-        target_word = (ANCHOR,) * dim
-        target = (target_word,)
-        every = sorted(itertools.product(alphabet.letters(), repeat=dim))
-        meeting = [q for q in every if overlap_weight(q, target_word) > 0]
-        partials: list[Code] = [()]
-        partials += [(q,) for q in meeting]
-        partials += [
-            c
-            for c in itertools.combinations(meeting, 2)
-            if is_dichotomous(c[0], c[1])
-        ]
-        for partial in partials:
-            for slots in range(0, 4):
-                bound = cover_bound(partial, target, every, slots)
-                exists = _has_completion(partial, target_word, meeting, slots)
-                checked += 1
-                completable += exists
-                if exists and bound == 0:
-                    unsound += 1
-    report.check(f"unsound prunes over {checked} contexts", 0, unsound)
-    report.note(f"completable contexts among them: {completable}")
-    return report
-
-
 def _mirror_to_second_word(alphabet: Alphabet) -> GroupElement:
     """The isomorphism swapping b and b' at the first three positions,
     carrying covers of bbbbb onto covers of b'b'b'bb."""
@@ -377,7 +309,6 @@ JOBS = {
     "d2-connectivity": (job_d2_connectivity, "census and flip connectivity of 2x2 tiling codes"),
     "connectivity": (job_connectivity, "census and flip connectivity of d=3 tiling codes over 2 and 3 pairs"),
     "oracle-fuzz": (job_oracle_fuzz, "weight criterion vs cell-enumeration oracle"),
-    "cover-bound-soundness": (job_cover_bound_soundness, "deficiency bound never prunes a completable partial"),
     "sabc-partial": (job_sabc_partial, "size-8 joint covers of the two-word anchor pair (--long)"),
 }
 

@@ -14,8 +14,7 @@ from functools import lru_cache
 from random import Random
 
 from .alphabet import Alphabet
-from .core import Code, Word, _dichotomy_row, _Packing
-from .moves import STATE_BITS_CAP
+from .core import STATE_BITS_CAP, Code, Word, _dichotomy_row, _Packing
 
 
 def random_word(alphabet: Alphabet, dim: int, rng: Random) -> Word:
@@ -90,6 +89,8 @@ def random_tiling_code(alphabet: Alphabet, dim: int, rng: Random) -> Code:
             chosen.pop()
         return False
 
-    if not rec((1 << len(order)) - 1, 1 << dim, 0):
+    found = rec((1 << len(order)) - 1, 1 << dim, 0)
+    del rec  # it calls itself through its cell: free the cycle now
+    if not found:
         raise RuntimeError("backtracking failed to complete a tiling code")
     return tuple(sorted(chosen))

@@ -34,9 +34,8 @@ The workhorses:
   grown by the same ``_grow``.
 * ``cover_code`` joins per-word cover families into covers of a code,
   drawing candidates by pigeonhole from a word index and checking them
-  over word bitmasks, ``cover_bound`` is the deficiency bound on a partial
-  cover, and ``find_second_codes`` rebuilds the partner of a partially
-  known equivalent code from its binary codes.
+  over word bitmasks, and ``find_second_codes`` rebuilds the partner of a
+  partially known equivalent code from its binary codes.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .core import (
     binary_code,
     binary_code_set,
     code_covered,
-    cover_weight,
     density,
     format_plain,
     is_covered,
@@ -89,6 +87,7 @@ def weight_compositions(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
             rec(level + 1, weight_left - count * unit, words_left - count, acc + [count])
 
     rec(0, 1 << dim, size, [])
+    del rec  # it calls itself through its cell: free the cycle now
     return tuple(out)
 
 
@@ -433,13 +432,16 @@ def _grow(
     uncovered = (1 << len(cell_words)) - 1
     for idx in base:
         uncovered ^= cells[idx]
-    if not feasible(allowed, 0):
-        return
-    if last == 0:
-        tile(uncovered, allowed & lightest, base)
-    else:
-        level, count = groups[0]
-        pick(0, allowed & masks[level], allowed, count, uncovered, base)
+    try:
+        if not feasible(allowed, 0):
+            return
+        if last == 0:
+            tile(uncovered, allowed & lightest, base)
+        else:
+            level, count = groups[0]
+            pick(0, allowed & masks[level], allowed, count, uncovered, base)
+    finally:
+        del tile, pick  # they call themselves through their cells: free the cycles
 
 
 def _top_transversal(
@@ -675,29 +677,6 @@ def cover_code(
                     new.add(tuple(sorted(have.union(extra))))
         current = sorted(new)
     return tuple(tuple(universe[i] for i in ids) for ids in current)
-
-
-# deficiency bound ---------------------------------------------------------
-
-def cover_bound(partial: Code, target: Code, pool: Iterable[Word], slots: int) -> int:
-    """1 when the ``slots`` heaviest candidates could still make up the
-    uncovered weight of the target, 0 when they provably cannot.  The
-    candidates are the pool words that extend the partial code and meet the
-    target.  Never 0 if a completion exists: each added word contributes
-    exactly its own weight against the target."""
-    if not target:
-        raise ValueError("bound needs a non-empty target")
-    dim = len(target[0])
-    deficiency = sum((1 << dim) - cover_weight(v, partial) for v in target)
-    weights = []
-    for q in pool:
-        if q in partial:
-            continue
-        weight = cover_weight(q, target)
-        if weight and all(is_dichotomous(q, v) for v in partial):
-            weights.append(weight)
-    weights.sort(reverse=True)
-    return 1 if sum(weights[:slots]) >= deficiency else 0
 
 
 # rebuilding the second code -----------------------------------------------

@@ -10,6 +10,11 @@ the complete list only in dimension two, while the two extras span three.
 The extras are checked to be minimal covers by the independent
 cell-enumeration oracle, and every class admits flip extraction, which is
 the fact the rest of the machinery depends on.
+
+Criterion 7, the soundness of the deficiency bound on partial covers, is
+retired with the bound: in both searches that run, it reduces to a
+candidate count the search already makes (CHANGES.md has the derivation).
+The other criteria keep their numbers.
 """
 
 import itertools
@@ -278,14 +283,6 @@ def test_criterion_6_flip_invariants():
         assert apply_flip(flipped, inverse_flip(move)) == code
         done += 1
     report(6, f"flip invariants on {done} flips", True)
-
-
-def test_criterion_7_cover_bound_soundness():
-    """Exhaustive at dimensions 1-3 over two pairs: the deficiency bound
-    never returns 0 when a completion exists."""
-    job = run_job("cover-bound-soundness")
-    report(7, "deficiency bound soundness (exhaustive d<=3)", job.ok)
-    assert job.ok, "\n".join(job.lines)
 
 
 def test_criterion_8_d2_connectivity():

@@ -16,6 +16,7 @@ from polybox.cli import main
 from polybox.moves import closure
 from polybox.pbxio import format_code, parse_code
 from polybox.realize import oracle_is_covered
+from polybox.repro import JOBS
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "polybox" / "data"
@@ -378,6 +379,18 @@ class TestRepro:
     def test_long_only_guard(self, capsys):
         assert run("repro", "sabc-partial") == 2
         assert "--long" in capsys.readouterr().err
+
+    def test_retired_job_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("repro", "cover-bound-soundness")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_readme_lists_exactly_the_jobs(self):
+        text = (ROOT / "README.md").read_text()
+        section = text.split("### Reproduction jobs", 1)[1].split("\n#", 1)[0]
+        listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert listed == list(JOBS)
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 """Enumeration and reconstruction: weight compositions, cover families,
-the deficiency bound, joins and second-code rebuilding."""
+joins and second-code rebuilding, and the reference cycles they leave."""
 
+import gc
 import itertools
 import os
 import tracemalloc
@@ -17,7 +18,7 @@ from polybox.core import (
     are_equivalent,
     binary_code_set,
     code_covered,
-    cover_weight,
+    common_density,
     density,
     format_plain,
     is_covered,
@@ -39,7 +40,6 @@ from polybox.search import (
     _cover_pool,
     _grow,
     _top_transversal,
-    cover_bound,
     cover_code,
     cover_word,
     enumerate_minimal_covers,
@@ -248,45 +248,6 @@ class TestEnumerateThroughTopWords:
                 assert got == tuple(sorted(set().union(*direct.values()))), (dim, size)
 
 
-class TestCoverBound:
-    def test_nothing_left_but_uncovered(self):
-        assert cover_bound((), (W("bb"),), (), 0) == 0
-
-    def test_documented_d2_instance(self):
-        pool = tuple(
-            sorted(itertools.product(range(4), repeat=2))
-        )
-        assert cover_bound(make_code([W("ab")]), (W("bb"),), pool, 1) == 1
-
-    def test_soundness_on_random_small_instances(self):
-        rng = Random(13)
-        alphabet = Alphabet(2)
-        for _ in range(80):
-            dim = rng.choice((1, 2, 3))
-            target_word = (2,) * dim
-            every = sorted(itertools.product(alphabet.letters(), repeat=dim))
-            meeting = [q for q in every if overlap_weight(q, target_word) > 0]
-            rng.shuffle(meeting)
-            partial = []
-            for q in meeting:
-                if len(partial) == 2:
-                    break
-                if all(is_dichotomous(q, v) for v in partial):
-                    partial.append(q)
-            partial = tuple(sorted(partial))
-            slots = rng.randrange(0, 4)
-            exists = False
-            for combo in itertools.combinations(
-                [q for q in meeting if q not in partial], slots
-            ):
-                cand = partial + combo
-                if is_polybox_code(cand) and is_covered(target_word, cand):
-                    exists = True
-                    break
-            if exists:
-                assert cover_bound(partial, (target_word,), every, slots) == 1
-
-
 class TestCoverCode:
     def test_single_word_passthrough(self):
         fam = (make_code([W("ab"), W("a'b")]),)
@@ -406,6 +367,87 @@ class TestFindSecondCodes:
                 make_code([W("aa")]),
                 Alphabet(2),
             )
+
+    def test_full_partial_rejected(self):
+        first, second = special_pair()
+        with pytest.raises(ValueError, match="strictly smaller"):
+            find_second_codes(second, first, Alphabet(2))
+
+    def test_slot_product_over_budget_rejected(self, monkeypatch):
+        first, second = special_pair()
+        monkeypatch.setattr(search, "MAX_SECOND_CANDIDATES", 0)
+        with pytest.raises(ValueError, match="candidate budget"):
+            find_second_codes(second, first[:-1], Alphabet(2))
+
+    @pytest.mark.parametrize("pairs,dim", [(2, 3), (3, 3), (2, 4)])
+    def test_matches_the_subset_twin(self, pairs, dim):
+        # any two cube tiling codes of one dimension are equivalent, so a
+        # seeded pair with one to three words dropped from the second is
+        # a reconstruction instance
+        alphabet = Alphabet(pairs)
+        largest = 0
+        for seed in range(4):
+            rng = Random(seed)
+            known = random_tiling_code(alphabet, dim, rng)
+            first = random_tiling_code(alphabet, dim, rng)
+            for drop in (1, 2, 3):
+                partial = tuple(sorted(rng.sample(first, len(first) - drop)))
+                for min_density in (1, 2, 3):
+                    twin = slow_second_codes(known, partial, alphabet, min_density)
+                    if density(known, partial) < min_density:
+                        assert twin == ()
+                        with pytest.raises(ValueError, match="sparse"):
+                            find_second_codes(known, partial, alphabet, min_density)
+                        continue
+                    got = find_second_codes(known, partial, alphabet, min_density)
+                    assert got == twin, (seed, drop, min_density)
+                    largest = max(largest, len(got))
+        assert largest > 1
+
+
+# slow twin: ``find_second_codes`` from its definition, every subset of the
+# words that extend the partial code, with no binary-code slots -----------
+
+def slow_second_codes(known, partial, alphabet, min_density):
+    words = [
+        q for q in itertools.product(alphabet.letters(), repeat=len(known[0]))
+        if q not in partial and all(is_dichotomous(q, r) for r in partial)
+    ]
+    out = []
+    for extra in itertools.combinations(words, len(known) - len(partial)):
+        candidate = tuple(sorted(partial + extra))
+        if (
+            is_polybox_code(candidate)
+            and are_equivalent(candidate, known)
+            and common_density(candidate, known) >= min_density
+        ):
+            out.append(candidate)
+    return tuple(sorted(out))
+
+
+# nested searches that call themselves through their cells are freed on
+# return: with the collector off, one call leaves no cycle behind ----------
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weight_compositions(5, 7),
+        lambda: random_tiling_code(Alphabet(3), 3, Random(1)),
+        lambda: cover_word(V5, 7, Alphabet(2)),
+        lambda: enumerate_minimal_covers(V5, 4, Alphabet(3)),
+        lambda: tiling_codes(Alphabet(2), 3),
+    ],
+    ids=["weight_compositions", "random_tiling_code", "cover_word", "enumerate", "tiling_codes"],
+)
+def test_leaves_no_reference_cycles(call):
+    call()  # fill the caches first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # slow twin: ``cover_code`` as it was before the word bitmasks, joining
