@@ -145,7 +145,7 @@ def cmd_dot_cover(args) -> int:
 def cmd_closure(args) -> int:
     alphabet, code = _load(args.file, args.pairs)
     result = closure(code, alphabet, args.budget)
-    print(f"states: {len(result.states)}")
+    print(f"states: {len(result.packed)}")
     print(f"exhausted: {result.exhausted}")
     if not result.exhausted:
         print(f"frontier left: {result.frontier_count}")

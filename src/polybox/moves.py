@@ -11,16 +11,17 @@ guessed away.  A search state is one int, a bit per word of the space
 (``core._Packing``): the twin pairs at a position are one shift and two masks
 away, and each successor is the state xor one four-bit pattern from a table
 built once per word space, shifted to the pair.  Codes are checked once on
-entry, by masks, and words and moves are built only for what is returned: a
-trace's moves are read back from the four bits each flip toggles.
+entry, by masks, and words and moves are built only for what is read: a
+trace's moves are read back from the four bits each flip toggles, and a
+closure keeps its states packed, decoding them to codes on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .alphabet import MAX_DIM, STAR, Alphabet
 from .core import (
@@ -327,16 +328,47 @@ def neighbors(code: Code, alphabet: Alphabet) -> tuple[Code, ...]:
     return tuple(map(packing.unpack, sorted(packing.successors(state), reverse=True)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClosureResult:
-    """Everything reachable from the seed by flips, within the budget."""
+    """Everything reachable from the seed by flips, within the budget.
 
-    states: frozenset[Code]
+    ``packed`` holds each state as one int, a bit per word of the
+    ``dim``-letter words over ``alphabet`` (``core._Packing``).  ``states``
+    decodes them to codes on first read and keeps them; ``sorted_states``
+    decodes in descending int order, which is ascending code order, since
+    flips keep a code's size.  A result built with decoded ``states``, as
+    ``dataclasses.replace(result, states=...)`` builds one, packs them in
+    place of ``packed``."""
+
+    packed: frozenset[int]
     exhausted: bool
     frontier_count: int
+    alphabet: Alphabet
+    dim: int
+
+    def __init__(
+        self,
+        packed: frozenset[int],
+        exhausted: bool,
+        frontier_count: int,
+        alphabet: Alphabet,
+        dim: int,
+        states: Optional[Iterable[Code]] = None,
+    ) -> None:
+        if states is not None:
+            states = self.__dict__["states"] = frozenset(states)
+            packed = frozenset(map(_packing(alphabet, dim).pack, states))
+        self.__dict__.update(
+            packed=packed, exhausted=exhausted, frontier_count=frontier_count, alphabet=alphabet, dim=dim
+        )
+
+    @cached_property
+    def states(self) -> frozenset[Code]:
+        return frozenset(map(_packing(self.alphabet, self.dim).unpack, self.packed))
 
     def sorted_states(self) -> tuple[Code, ...]:
-        return tuple(sorted(self.states))
+        unpack = _packing(self.alphabet, self.dim).unpack
+        return tuple(map(unpack, sorted(self.packed, reverse=True)))
 
 
 def closure(
@@ -347,34 +379,34 @@ def closure(
     """Breadth-first fixpoint of the flip relation; the seed is a state.
     Each state's successors are visited in sorted order.  At most
     ``state_budget`` states are kept; meeting one more ends the search
-    unexhausted, with the states not fully expanded as frontier."""
+    unexhausted, with the states not fully expanded as frontier.  The
+    states are returned packed; no code is built here."""
     _check_budget(state_budget)
     packing, start = _packed(code, alphabet)
     packing.check_memory(state_budget)
     visited = {start}
     queue = [start]
-
-    def result(frontier: int) -> ClosureResult:
-        # every state kept is queued once; unpacking while popping lets the
-        # packed states go as their codes are built
-        visited.clear()
-        states = frozenset(packing.unpack(queue.pop()) for _ in range(len(queue)))
-        return ClosureResult(
-            states=states,
-            exhausted=not frontier,
-            frontier_count=frontier,
-        )
-
+    frontier = 0
     for index, current in enumerate(queue):
         # the flips of a code give distinct codes
         successors = [s for s in packing.successors(current) if s not in visited]
         successors.sort(reverse=True)  # by code, ascending
-        for successor in successors:
-            if len(visited) >= state_budget:
-                return result(len(queue) - index)
-            visited.add(successor)
-            queue.append(successor)
-    return result(0)
+        if len(visited) + len(successors) > state_budget:
+            queue.extend(successors[: state_budget - len(visited)])
+            frontier = len(queue) - index
+            break
+        visited.update(successors)
+        queue.extend(successors)
+    # every state kept is queued once: the set goes before the queue is
+    # frozen, so only one hash table of the states is ever alive
+    visited.clear()
+    return ClosureResult(
+        packed=frozenset(queue),
+        exhausted=not frontier,
+        frontier_count=frontier,
+        alphabet=alphabet,
+        dim=packing.dim,
+    )
 
 
 def find_flip_path(

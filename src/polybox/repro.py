@@ -47,7 +47,7 @@ from .search import (
     cover_code,
     cover_word,
     enumerate_minimal_covers,
-    tiling_codes,
+    _tiling_census,
 )
 
 ANCHOR = 2  # letter b
@@ -59,7 +59,7 @@ COVER_CLASS_COUNTS = {5: 1, 6: 1, 7: 3, 8: 4, 9: 19, 10: 51, 11: 153}
 SMALL_COVER_CLASS_COUNTS = {2: 4, 5: 6}
 # cube tiling codes by (dimension, pair count); regression values, equal to
 # the flip closures of the simple seeds and, at d=3, to bench/census.py
-TILING_CODE_COUNTS = {(2, 2): 12, (3, 2): 744, (3, 3): 17_793}
+TILING_CODE_COUNTS = {(2, 2): 12, (3, 2): 744, (3, 3): 17_793, (3, 4): 152_128}
 SABC_SIZE8_JOINT_COVERS = 64
 
 
@@ -184,21 +184,22 @@ def job_example1(long: bool) -> JobReport:
 def _connectivity(name: str, dim: int) -> JobReport:
     """For each pair count ``TILING_CODE_COUNTS`` lists at ``dim``: the
     census of cube tiling codes, one exact cover per code
-    (``tiling_codes``), equals the flip closure of the simple seed."""
+    (``_tiling_census``), equals the flip closure of the simple seed.  Both
+    sides are packed alike, so they compare as two sets of ints."""
     report = JobReport(name, True)
     seed = make_code(itertools.product((0, 1), repeat=dim))
     for (d, pairs), count in TILING_CODE_COUNTS.items():
         if d != dim:
             continue
         alphabet = Alphabet(pairs)
-        census = tiling_codes(alphabet, dim)
+        census = _tiling_census(alphabet, dim)
         report.check(f"tiling codes d={dim}, {pairs} pairs (regression)", count, len(census))
         closed = closure(seed, alphabet)
         report.check(f"closure exhausted, {pairs} pairs", True, closed.exhausted)
         report.check(
             f"closure of the simple seed is the census, {pairs} pairs",
             True,
-            closed.states == census,
+            closed.packed == census,
         )
     return report
 
@@ -210,9 +211,14 @@ def job_d2_connectivity(long: bool) -> JobReport:
 
 
 def job_connectivity(long: bool) -> JobReport:
-    """Flip connectivity of all cube tiling codes of dimension 3 over two
-    and three pairs: the census by exact cover equals the flip closure of
-    the simple seed."""
+    """Flip connectivity of all cube tiling codes of dimension 3 over two,
+    three and four pairs: the census by exact cover equals the flip closure
+    of the simple seed.  Opposite layers of a tiling code are equivalent,
+    so a position of a d=3 code carries at most four pairs: every d=3 code
+    over any alphabet is a per-position relabelling, which commutes with
+    flips, of a code over four pairs.  Simple codes over any pairs are
+    joined by flipping every twin pair at a position onto another pair,
+    so four pairs settle d=3 for every alphabet."""
     return _connectivity("connectivity", 3)
 
 
@@ -307,7 +313,7 @@ JOBS = {
     "special-pair": (job_special_pair, "structural checks of the bundled 12-word pair"),
     "example1": (job_example1, "replay of the bundled four-flip sequence"),
     "d2-connectivity": (job_d2_connectivity, "census and flip connectivity of 2x2 tiling codes"),
-    "connectivity": (job_connectivity, "census and flip connectivity of d=3 tiling codes over 2 and 3 pairs"),
+    "connectivity": (job_connectivity, "census and flip connectivity of d=3 tiling codes over 2, 3 and 4 pairs"),
     "oracle-fuzz": (job_oracle_fuzz, "weight criterion vs cell-enumeration oracle"),
     "sabc-partial": (job_sabc_partial, "size-8 joint covers of the two-word anchor pair (--long)"),
 }

@@ -31,7 +31,8 @@ The workhorses:
   (``_Ranks``), one word at a time as covers meet it.
 * ``tiling_codes`` lists every cube tiling code over ``k`` pairs as the
   exact covers of ``b...b`` over ``k + 1`` pairs by words without ``b``,
-  grown by the same ``_grow``.
+  grown by the same ``_grow`` and kept packed as flip searches pack codes
+  (``_tiling_census``), so that a census compares with a closure as ints.
 * ``cover_code`` joins per-word cover families into covers of a code,
   drawing candidates by pigeonhole from a word index and checking them
   over word bitmasks, and ``find_second_codes`` rebuilds the partner of a
@@ -54,6 +55,7 @@ from .core import (
     Word,
     _dichotomy_row,
     _letter_masks,
+    _Packing,
     binary_code,
     binary_code_set,
     code_covered,
@@ -564,7 +566,16 @@ def enumerate_minimal_covers(
 
 def tiling_codes(alphabet: Alphabet, dim: int) -> set[Code]:
     """Every cube tiling code of dimension ``dim`` over the alphabet's ``k``
-    pairs, each a sorted tuple of its ``2**dim`` words.
+    pairs, each a sorted tuple of its ``2**dim`` words, decoded from
+    ``_tiling_census``."""
+    census = _tiling_census(alphabet, dim)
+    return set(map(_Packing(alphabet, dim).unpack, census))
+
+
+def _tiling_census(alphabet: Alphabet, dim: int) -> set[int]:
+    """Every cube tiling code of dimension ``dim`` over the alphabet's ``k``
+    pairs, packed in ``core._Packing``'s layout as a flip search packs it,
+    so that it compares with a closure's ``packed`` states as ints.
 
     A tiling code is an exact cover of ``b...b`` over ``k + 1`` pairs by
     words without ``b``.  In ``_cell_tables`` the box of ``b...b`` over
@@ -576,20 +587,26 @@ def tiling_codes(alphabet: Alphabet, dim: int) -> set[Code]:
     the exact covers of the box by level-0 words are the tiling codes, and
     ``_grow`` yields each one exactly once.  Level-0 words hold neither
     ``b`` nor ``b'``, so each letter above them moves down two places to
-    its letter over ``k`` pairs.  Refused, like every pool, when the pool
-    would pass ``POOL_ROW_BYTES_CAP``, and below dimension 2, where no pool
-    word holds ``b`` for the cell tables to read."""
+    its letter over ``k`` pairs, and each level-0 pool index maps to that
+    word's bit.  Refused, like every pool, when the pool would pass
+    ``POOL_ROW_BYTES_CAP``, and below dimension 2, where no pool word holds
+    ``b`` for the cell tables to read."""
     if dim < 2:
         raise ValueError("tiling codes are enumerated from dimension 2")
     pool = _cover_pool(alphabet.pair_count + 1, dim)
+    pack = _Packing(alphabet, dim).pack
     letter = [s - 2 * (s > ANCHOR_LETTER) for s in range(2 * alphabet.pair_count + 2)]
-    words = [tuple(letter[s] for s in w) for w in pool.words]
-    found: set[Code] = set()
+    level = pool.level_masks[0]
+    bits = [
+        pack([tuple(letter[s] for s in w)]) if level >> i & 1 else 0
+        for i, w in enumerate(pool.words)
+    ]
+    found: set[int] = set()
 
     def collect(ids: frozenset[int]) -> None:
-        found.add(tuple([words[i] for i in sorted(ids)]))
+        found.add(sum(map(bits.__getitem__, ids)))
 
-    _grow((), pool.level_masks[0], (0,) * 2**dim, pool, collect, twin_free=False)
+    _grow((), level, (0,) * 2**dim, pool, collect, twin_free=False)
     return found
 
 

@@ -368,6 +368,8 @@ class TestRepro:
         out = capsys.readouterr().out
         assert "expected 744 computed 744 [ok]" in out
         assert "expected 17793 computed 17793 [ok]" in out
+        assert "expected 152128 computed 152128 [ok]" in out
+        assert "closure of the simple seed is the census, 4 pairs: expected True" in out
         assert "connectivity: PASS" in out
 
     def test_d2_connectivity_job(self, capsys):

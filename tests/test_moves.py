@@ -1,6 +1,7 @@
 """The flip calculus: glue/cut round trips, flip invariants, closures,
 lock tests, extraction and layer simplification."""
 
+import dataclasses
 import itertools
 from collections import deque
 from random import Random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from polybox.alphabet import Alphabet, STAR
 from polybox.core import (
+    _Packing,
     are_equivalent,
     binary_code_set,
     density,
@@ -281,6 +283,60 @@ class TestClosure:
         alphabet = Alphabet(3)
         assert second in closure(first, alphabet).states
         assert first in closure(second, alphabet).states
+
+
+class TestPackedClosure:
+    """A closure returns its states packed and decodes them when read."""
+
+    def test_states_are_decoded_only_when_read(self, monkeypatch):
+        calls = []
+        unpack = _Packing.unpack
+
+        def counted(self, state):
+            calls.append(state)
+            return unpack(self, state)
+
+        monkeypatch.setattr(_Packing, "unpack", counted)
+        result = closure(_simple(3), Alphabet(2))
+        assert len(result.packed) == 744 and not calls
+        states = result.states
+        assert len(calls) == len(states) == 744
+        assert result.states is states and len(calls) == 744
+
+    def test_sorted_states_are_the_sorted_codes(self):
+        for code, alphabet, budget in (
+            (example_pair()[0], Alphabet(3), DEFAULT_STATE_BUDGET),
+            (_simple(3), Alphabet(3), 5000),
+            (_simple(4), Alphabet(2), 3000),
+        ):
+            result = closure(code, alphabet, state_budget=budget)
+            assert result.sorted_states() == tuple(sorted(result.states))
+
+    def test_fields_are_plain_values(self):
+        """What a digest of the fields reads is equal on equal closures:
+        no field holds a packing, whose repr carries its address."""
+        result = closure(_simple(3), Alphabet(2), state_budget=100)
+        for field in dataclasses.fields(result):
+            value = getattr(result, field.name)
+            if isinstance(value, frozenset):
+                assert all(type(state) is int for state in value)
+            else:
+                assert type(value) in (int, bool, Alphabet), field.name
+        assert result == closure(_simple(3), Alphabet(2), state_budget=100)
+
+    def test_replace_takes_decoded_states(self, monkeypatch):
+        """``dataclasses.replace`` copies the packed states without decoding
+        them, and decoded ``states`` given to it replace them."""
+        result = closure(_simple(3), Alphabet(2))
+        monkeypatch.setattr(_Packing, "unpack", None)
+        copied = dataclasses.replace(result, exhausted=False)
+        assert copied.packed is result.packed and not copied.exhausted
+        monkeypatch.undo()
+        dropped = min(result.states)
+        missing = dataclasses.replace(result, states=result.states - {dropped})
+        assert missing.states == result.states - {dropped}
+        assert missing.packed == result.packed - {_packing(Alphabet(2), 3).pack(dropped)}
+        assert dataclasses.replace(missing, states=result.states) == result
 
 
 class TestStrongEquivalence:

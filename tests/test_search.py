@@ -30,7 +30,7 @@ from polybox.core import (
 )
 from polybox.catalog import special_pair
 from polybox.iso import apply_code, dedup_orbits, word_stabilizer
-from polybox.moves import twin_pairs
+from polybox.moves import closure, twin_pairs
 from polybox import search
 from polybox.pbxio import parse_word
 from polybox.repro import _mirror_to_second_word
@@ -39,6 +39,7 @@ from polybox.search import (
     ANCHOR_LETTER,
     _cover_pool,
     _grow,
+    _tiling_census,
     _top_transversal,
     cover_code,
     cover_word,
@@ -829,6 +830,15 @@ class TestTilingCodes:
         got = tiling_codes(alphabet, 2)
         assert got == brute == slow_tiling_census(alphabet, 2)
         assert len(got) == count
+
+    @pytest.mark.parametrize("dim, pairs", [(2, 2), (3, 2), (3, 3)])
+    def test_census_is_packed_like_the_closure(self, dim, pairs):
+        """The census and the closure of the simple code compare as ints."""
+        alphabet = Alphabet(pairs)
+        census = _tiling_census(alphabet, dim)
+        closed = closure(make_code(itertools.product((0, 1), repeat=dim)), alphabet)
+        assert closed.exhausted and census == closed.packed
+        assert tiling_codes(alphabet, dim) == closed.states
 
     @pytest.mark.parametrize("pairs", [2, 3])
     def test_sampled_codes_are_members(self, pairs):
