@@ -10,10 +10,11 @@ with an explicit state budget; exhaustion of the budget is reported, never
 guessed away.  A search state is one int, a bit per word of the space
 (``core._Packing``): the twin pairs at a position are one shift and two masks
 away, and each successor is the state xor one four-bit pattern from a table
-built once per word space, shifted to the pair.  Codes are checked once on
-entry, by masks, and words and moves are built only for what is read: a
-trace's moves are read back from the four bits each flip toggles, and a
-closure keeps its states packed, decoding them to codes on first read.
+built once per word space, shifted to the pair.  Each code is checked once
+on entry, by ``make_code``, and words and moves are built only for what is
+read: a trace's moves are read back from the four bits each flip toggles,
+and a closure keeps its states packed, decoding them to codes on first
+read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .alphabet import MAX_DIM, STAR, Alphabet
+from .alphabet import STAR, Alphabet
 from .core import (
     STATE_BITS_CAP,
     Code,
@@ -139,7 +140,11 @@ class _FlipPacking(_Packing):
     ``s`` there, and per other unprimed letter ``t`` one ``(offset,
     pattern)`` whose four bits are a twin pair and its cut along ``t``: the
     flip of the pair whose unprimed word is at bit ``b`` is ``state ^
-    pattern << b - offset``."""
+    pattern << b - offset``.
+
+    It checks no code: ``_packed`` hands it codes that ``make_code`` has
+    checked.  Only ``meeting`` reads a word from outside, and it guards
+    letters outside the alphabet."""
 
     def __init__(self, alphabet: Alphabet, dim: int) -> None:
         size = alphabet.size**dim
@@ -189,24 +194,6 @@ class _FlipPacking(_Packing):
         for masks, s in zip(self.letters, word):
             apart |= masks[s ^ 1] if s ^ 1 < self.radix else 0
         return (2 << self.top) - 1 ^ apart
-
-    def state(self, code: Code) -> Optional[int]:
-        """The state of a non-empty code of this packing's words, checked
-        by masks: no two words are equal, and each is met by itself alone.
-        None for anything else."""
-        top, alphabet = self.top, self.alphabet
-        try:
-            if not code or any(len(v) != self.dim for v in code):
-                return None
-            bits = [1 << top - pack_word(v, alphabet) for v in code]
-        except (TypeError, ValueError):
-            return None
-        state = sum(bits)
-        if state.bit_count() != len(bits):
-            return None
-        if any(state & self.meeting(v) != bit for v, bit in zip(code, bits)):
-            return None
-        return state
 
     def successors(self, state: int) -> list[int]:
         """Every state one flip away, in no particular order."""
@@ -290,22 +277,11 @@ _packing = lru_cache(maxsize=8)(_FlipPacking)
 
 
 def _packed(code: Code, alphabet: Alphabet) -> tuple[_FlipPacking, int]:
-    """The packing of a code and its state, the code checked on entry by
-    masks.  An empty code, or one the masks refuse, goes through
-    ``make_code``, which says why it is refused."""
-    state = None
-    if code and len(code[0]) <= MAX_DIM:
-        try:
-            packing = _packing(alphabet, len(code[0]))
-        except ValueError:  # too large, said once the code is checked
-            pass
-        else:
-            state = packing.state(code)
-    if state is None:
-        code = make_code(code, alphabet)
-        packing = _packing(alphabet, _dim(code))
-        state = packing.pack(code)
-    return packing, state
+    """The packing of a code and its state, the code checked by
+    ``make_code`` before its word space is built."""
+    code = make_code(code, alphabet)
+    packing = _packing(alphabet, _dim(code))
+    return packing, packing.pack(code)
 
 
 def twin_pairs(code: Code) -> list[tuple[Word, Word, int]]:
@@ -415,16 +391,15 @@ def find_flip_path(
     alphabet: Alphabet,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
-    """Shortest flip sequence from ``start`` to ``goal``.  The returned trace
-    replays exactly.  At most ``state_budget`` states are kept; meeting one
-    more exceeds it."""
+    """Shortest flip sequence from ``start`` to ``goal``, both checked by
+    ``make_code``; a goal of another dimension is never met.  The returned
+    trace replays exactly.  At most ``state_budget`` states are kept;
+    meeting one more exceeds it."""
     packing, packed = _packed(start, alphabet)
-    target = packing.state(goal)
-    if target is None:
-        goal = make_code(goal, alphabet)
-        # a goal of another dimension is never met, and its packed words
-        # could collide with the start's
-        target = packing.pack(goal) if _dim(goal) == packing.dim else None
+    goal = make_code(goal, alphabet)
+    # a goal of another dimension is never met, and its packed words could
+    # collide with the start's
+    target = packing.pack(goal) if _dim(goal) == packing.dim else None
     return packing.search(packed, lambda state: state == target, state_budget)
 
 
@@ -564,10 +539,13 @@ def simplify_tiling(
 ) -> SimplifyResult:
     """Flip a cube tiling code into a simple one, layer by layer.
 
-    At the position with the most letter pairs, the largest pair's layer is
-    flipped (one dimension down) until it equals its opposite layer, the
-    resulting twin pairs are merged onto the next pair, and the process
-    repeats.  The full flip trace is returned and replays exactly."""
+    Among the positions that carry two or more letter pairs, the (position,
+    pair) with the fewest words is taken, ties going to the lowest position
+    and then the lowest pair.  That pair's unprimed layer is flipped (one
+    dimension down, by ``find_flip_path``) until it equals its primed
+    layer, the resulting twin pairs are merged onto the lowest other pair
+    at the position, and the process repeats.  The full flip trace is
+    returned and replays exactly."""
     _check_budget(state_budget)
     if not is_cube_tiling_code(code):
         raise ValueError("layer simplification applies to cube tiling codes")
@@ -576,10 +554,14 @@ def simplify_tiling(
     for _ in range(MAX_MERGES):
         if is_simple(state):
             return SimplifyResult(Verdict.YES, state, tuple(trace))
-        dim = len(state[0])
-        position = max(range(dim), key=lambda i: (len(pairs_at(state, i)), -i))
-        pairs = sorted(pairs_at(state, position))
-        source, target = 2 * pairs[-1], 2 * pairs[-2]
+        # (words, position, pair) over the positions of two or more pairs
+        _, position, pair = min(
+            (sum(v[i] >> 1 == j for v in state), i, j)
+            for i in range(len(state[0]))
+            if len(pairs := pairs_at(state, i)) > 1
+            for j in pairs
+        )
+        source, target = 2 * pair, 2 * min(pairs_at(state, position) - {pair})
         upper = layer(state, position, source)
         lower = layer(state, position, source ^ 1)
         verdict, path = find_flip_path(upper, lower, alphabet, state_budget)

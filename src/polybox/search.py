@@ -29,10 +29,6 @@ The workhorses:
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
   bookkeeping), keeping each image once.  It maps words over ranks
   (``_Ranks``), one word at a time as covers meet it.
-* ``tiling_codes`` lists every cube tiling code over ``k`` pairs as the
-  exact covers of ``b...b`` over ``k + 1`` pairs by words without ``b``,
-  grown by the same ``_grow`` and kept packed as flip searches pack codes
-  (``_tiling_census``), so that a census compares with a closure as ints.
 * ``cover_code`` joins per-word cover families into covers of a code,
   drawing candidates by pigeonhole from a word index and checking them
   over word bitmasks, and ``find_second_codes`` rebuilds the partner of a
@@ -563,14 +559,6 @@ def enumerate_minimal_covers(
 
 
 # cube tiling codes --------------------------------------------------------
-
-def tiling_codes(alphabet: Alphabet, dim: int) -> set[Code]:
-    """Every cube tiling code of dimension ``dim`` over the alphabet's ``k``
-    pairs, each a sorted tuple of its ``2**dim`` words, decoded from
-    ``_tiling_census``."""
-    census = _tiling_census(alphabet, dim)
-    return set(map(_Packing(alphabet, dim).unpack, census))
-
 
 def _tiling_census(alphabet: Alphabet, dim: int) -> set[int]:
     """Every cube tiling code of dimension ``dim`` over the alphabet's ``k``

@@ -53,6 +53,7 @@ from polybox.moves import (
     twin_pairs,
 )
 from polybox.pbxio import parse_word
+from polybox.realize import box
 from polybox.sampling import random_code, random_tiling_code
 from polybox.search import enumerate_minimal_covers
 
@@ -405,6 +406,14 @@ class TestLockedCover:
         with pytest.raises(ValueError):
             is_locked_cover(W("bbbbb"), (W("aabbb"),), Alphabet(2))
 
+    def test_word_outside_the_alphabet_meets_across_its_pair(self):
+        # a letter of a pair the alphabet lacks is complementary to no word
+        # of the code, so it keeps every word there meeting the word
+        assert is_locked_cover((4,), ((0,), (1,)), Alphabet(1)) == Verdict.NO
+        square = ((0, 0), (0, 1), (1, 0), (1, 1))  # no flip under one pair
+        assert is_locked_cover((0, 4), square, Alphabet(1), threshold=2) == Verdict.YES
+        assert is_locked_cover((0, 4), square, Alphabet(1), threshold=3) == Verdict.NO
+
     def test_thresholds_below_two_are_refused(self):
         # a covered word meets a word of every state: nothing falls below 1
         first, _ = special_pair()
@@ -448,6 +457,39 @@ class TestExtraction:
             extract_word(five, W("bbb"), Alphabet(2))
 
 
+def cell_tiling_code(alphabet: Alphabet, dim: int, rng: Random) -> tuple:
+    """A random cube tiling code as an exact cover of ``realize.box``'s
+    cells: branch on the lowest uncovered cell, over the words whose box
+    holds it in shuffled order, taking a word when its box misses the
+    covered cells.  The ``k ** dim`` holders of a cell take, per position,
+    one pair's letter on the cell's side of that pair."""
+    k = alphabet.pair_count
+    full = (1 << (1 << k) ** dim) - 1
+    chosen = []
+
+    def grow(covered: int) -> bool:
+        if covered == full:
+            return True
+        cell = (~covered & covered + 1).bit_length() - 1
+        sides = [cell >> k * i & (1 << k) - 1 for i in range(dim)]
+        holders = [
+            tuple(2 * j | sides[i] >> j & 1 for i, j in enumerate(pairs))
+            for pairs in itertools.product(range(k), repeat=dim)
+        ]
+        rng.shuffle(holders)
+        for v in holders:
+            cells = box(v, alphabet)
+            if not cells & covered:
+                chosen.append(v)
+                if grow(covered | cells):
+                    return True
+                chosen.pop()
+        return False
+
+    assert grow(0)
+    return make_code(chosen)
+
+
 class TestLayers:
     def test_layer_extraction(self):
         _, second = example_pair()  # {cc, c'c, bc', b'c'}
@@ -489,6 +531,25 @@ class TestLayers:
         assert len(census) == 12
         for code in census:
             result = simplify_tiling(code, alphabet)
+            assert result.verdict == Verdict.YES
+            assert is_simple(result.code)
+            assert replay(code, result.trace) == result.code
+
+    def test_smallest_layer_goes_first(self):
+        # {cc, c'c, bc', b'c'}: position 0 carries b and c with two words
+        # each, so the tie goes to b, which merges onto c
+        _, second = example_pair()
+        result = simplify_tiling(second, Alphabet(3))
+        assert result.code == make_code([W("cc"), W("c'c"), W("cc'"), W("c'c'")])
+        assert len(result.trace) == 1
+
+    def test_d6_two_pair_tilings_simplify(self):
+        # taking the largest pair first runs out of states on each of these
+        rng = Random(11)
+        alphabet = Alphabet(2)
+        for _ in range(4):
+            code = cell_tiling_code(alphabet, 6, rng)
+            result = simplify_tiling(code, alphabet, 3 * 10**5)
             assert result.verdict == Verdict.YES
             assert is_simple(result.code)
             assert replay(code, result.trace) == result.code

@@ -13,6 +13,7 @@ import pytest
 from polybox.alphabet import Alphabet
 from polybox.core import (
     Code,
+    _Packing,
     _dichotomy_row,
     _letter_masks,
     are_equivalent,
@@ -46,7 +47,6 @@ from polybox.search import (
     enumerate_minimal_covers,
     find_second_codes,
     standard_seeds,
-    tiling_codes,
     weight_compositions,
 )
 
@@ -436,9 +436,9 @@ def slow_second_codes(known, partial, alphabet, min_density):
         lambda: random_tiling_code(Alphabet(3), 3, Random(1)),
         lambda: cover_word(V5, 7, Alphabet(2)),
         lambda: enumerate_minimal_covers(V5, 4, Alphabet(3)),
-        lambda: tiling_codes(Alphabet(2), 3),
+        lambda: _tiling_census(Alphabet(2), 3),
     ],
-    ids=["weight_compositions", "random_tiling_code", "cover_word", "enumerate", "tiling_codes"],
+    ids=["weight_compositions", "random_tiling_code", "cover_word", "enumerate", "tiling_census"],
 )
 def test_leaves_no_reference_cycles(call):
     call()  # fill the caches first
@@ -816,6 +816,11 @@ def slow_tiling_census(alphabet: Alphabet, dim: int) -> set:
     return found
 
 
+def tiling_codes(alphabet: Alphabet, dim: int) -> set[Code]:
+    """``_tiling_census`` decoded to sorted codes."""
+    return set(map(_Packing(alphabet, dim).unpack, _tiling_census(alphabet, dim)))
+
+
 class TestTilingCodes:
     @pytest.mark.parametrize("pairs", [2, 3])
     def test_d3_against_the_backtracker(self, pairs):
@@ -852,7 +857,7 @@ class TestTilingCodes:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cover pool too large"):
-                tiling_codes(Alphabet(6), 3)
+                _tiling_census(Alphabet(6), 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -860,4 +865,4 @@ class TestTilingCodes:
 
     def test_dimension_one_is_refused(self):
         with pytest.raises(ValueError, match="from dimension 2"):
-            tiling_codes(Alphabet(2), 1)
+            _tiling_census(Alphabet(2), 1)
