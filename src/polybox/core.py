@@ -135,24 +135,43 @@ def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
 STATE_BITS_CAP = 1 << 16
 
 
+class _WordIndex(dict):
+    """Word -> packed word, filled through ``pack_word`` as words are met,
+    so a word's first sight is checked and a refused word is never kept."""
+
+    def __init__(self, alphabet: Alphabet) -> None:
+        super().__init__()
+        self.alphabet = alphabet
+
+    def __missing__(self, v: Word) -> int:
+        n = self[v] = pack_word(v, self.alphabet)
+        return n
+
+
 class _Packing:
     """Codes of one dimension over one alphabet as one int each: packed
     word ``w`` is bit ``top - w``.  Between codes of one size a larger int
     is a lex-smaller code.  At a position of place value ``p``, the word at
     bit ``b`` has the letter ``radix - 1`` less ``b``'s digit, so each
-    letter's mask is a run of ``p`` bits with period ``radix * p``."""
+    letter's mask is a run of ``p`` bits with period ``radix * p``.
+
+    ``index`` mirrors ``words``: it maps each word met, as a tuple, to its
+    packed word, so a code packs by one dict hit a word and each word is
+    checked by ``pack_word`` once."""
 
     def __init__(self, alphabet: Alphabet, dim: int) -> None:
         size = alphabet.size**dim
         self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
         self.words = word_table(alphabet, dim)
+        self.index = _WordIndex(alphabet)
         self.letters = []  # per position, a mask per letter
         for place in place_values(alphabet, dim):
             run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << self.radix * place) - 1)
             self.letters.append([run << (self.radix - 1 - s) * place for s in alphabet.letters()])
 
     def pack(self, code: Iterable[Word]) -> int:
-        return sum(1 << self.top - pack_word(v, self.alphabet) for v in code)
+        index, top = self.index, self.top
+        return sum(1 << top - index[tuple(v)] for v in code)
 
     def unpack(self, state: int) -> Code:
         words, top, code = self.words, self.top, []

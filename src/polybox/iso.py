@@ -11,8 +11,11 @@ orbit minima, found by one of two walks:
   (``Group._walk_steps``): ``order`` images per orbit.  A code is one int
   in ``core._Packing``'s layout, a bit per word, where a larger int is a
   lex-smaller code, so the orbit minimum is the largest image.  A step
-  permutes bits: it keeps some, and moves a few masked blocks each by one
-  shift (Knuth, TAOCP 4A, 7.1.3);
+  permutes bits by masked shifts (Knuth, TAOCP 4A, 7.1.3) in one
+  expression, ``code & fixed | (code & up) << rise | (code & down) >>
+  fall``: it keeps some bits and moves one block up and one down, which
+  is all that most steps move; the few others, such as position swaps,
+  move their further blocks in a loop;
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
@@ -37,17 +40,19 @@ from typing import Iterable, Iterator
 from .alphabet import STAR, Alphabet, letter_name
 from .core import Code, Word, _DigitSum, _Packing, pack_code, place_values, word_table
 
-# The element walk plans its steps once per group (0.6 ms at the 3,840
+# The element walk plans its steps once per group (0.5 ms at the 3,840
 # elements of the two-pair stabilizer of bbbbb), then makes ``order``
 # images per orbit; the orbit walk makes ``|generators|`` images per orbit
 # code.  So the element walk wins on near-regular orbits: at 3,840 elements
-# the size-10 census of twin-pair-free covers of bbbbb dedups in 0.26 s
-# against 3.2 s, and one of its canonical forms takes 4 ms against 81 ms;
-# it loses on small orbits (a 2-word cover: 3 ms against 0.1 ms).  Above
-# this order no family measured favours it throughout: at 5,040 (one pair,
-# d=7) 200 random 3-word codes took 0.81 s against 1.45 s, 1-word codes
-# 0.68 s against 0.03 s; at 46,080 (two pairs, d=6) a small cover's
-# canonical form took 49 ms against 0.1 ms.  Timed on a 2-core machine.
+# the size-10 census of twin-pair-free covers of bbbbb dedups in 0.13-0.18 s
+# against 1.8-2.2 s, and one of its canonical forms takes 2-3 ms against
+# 40-70 ms; it loses on small orbits (a 2-word cover: 1-2 ms against
+# 0.05 ms).  Above this order no family measured favours it throughout: at
+# 5,040 (one pair, d=7) 200 random 3-word codes took 0.51 s against 1.10 s,
+# 1-word codes 0.33 s against 0.02 s; at 46,080 (two pairs, d=6) a small
+# cover's canonical form took 28 ms against 0.4 ms, the walk's plan
+# included.  Timed on a 2-core machine, whose speed varies by up to 2x
+# between runs.
 ELEMENT_WALK_MAX_ORDER = 5_000
 
 
@@ -138,7 +143,7 @@ class Group:
         self._tables: list[_DigitSum] | None = None
         self._words: _DigitSum | None = None
         self._bits: _Packing | None = None
-        self._steps: list[tuple[int, tuple, tuple]] | None = None
+        self._steps: list[tuple[int, int, int, int, int, tuple]] | None = None
 
     def elements(self) -> Iterator[GroupElement]:
         """Every element, each position permutation with every choice of
@@ -186,9 +191,10 @@ class Group:
         taken out of ``pending``.  The element walk's images stream by, and
         only the largest int so far is kept."""
         if self._walks_elements():
-            best, discard = packed, pending.discard
+            best = packed
             for image in _bit_walk(packed, self._walk_steps()):
-                discard(image)
+                if image in pending:
+                    pending.remove(image)
                 if image > best:
                     best = image
             return best
@@ -255,7 +261,7 @@ class Group:
             walk += [k] + cosets
         return elements, walk
 
-    def _walk_steps(self) -> list[tuple[int, tuple, tuple]]:
+    def _walk_steps(self) -> list[tuple[int, int, int, int, int, tuple]]:
         """The planned walk as bit steps, one per distinct element, built
         when the group first walks and kept for its life."""
         if self._steps is None:
@@ -264,14 +270,17 @@ class Group:
             self._steps = [steps[k] for k in walk]
         return self._steps
 
-    def _bit_step(self, g: GroupElement) -> tuple[int, tuple, tuple]:
-        """``g`` on one-int codes as ``(fixed, left, right)``: the bits of
-        ``fixed`` stay, and each ``(mask, shift)`` in ``left`` (``right``)
-        moves its bits up (down) by ``shift``.  The words with given letters
-        at the positions ``g`` moves form one block, the AND of those
-        letters' masks, and all move by one shift: a word's bit falls by
-        its packed value's rise, the letters' rises times their place
-        values."""
+    def _bit_step(self, g: GroupElement) -> tuple[int, int, int, int, int, tuple]:
+        """``g`` on one-int codes as ``(fixed, up, rise, down, fall,
+        extra)``: the bits of ``fixed`` stay, those of ``up`` move up by
+        ``rise`` and those of ``down`` down by ``fall``, and ``extra`` holds
+        ``(left, right)``, each ``(mask, shift)`` in ``left`` (``right``)
+        moving its bits up (down) by ``shift``, or is empty.  The words with
+        given letters at the positions ``g`` moves form one block, the AND
+        of those letters' masks, and all move by one shift: a word's bit
+        falls by its packed value's rise, the letters' rises times their
+        place values.  Most steps move one block each way, so only the
+        first block each way has a slot of its own."""
         packing, places = self._packing(), place_values(self.alphabet, self.dim)
         identity = _identity_map(self.alphabet)
         moved = [i for i in range(self.dim) if g.sigma[i] != i or g.maps[i] != identity]
@@ -283,20 +292,24 @@ class Group:
                 mask &= packing.letters[i][v[i]]
                 shift += (v[i] - g.maps[i][v[g.sigma[i]]]) * places[i]
             blocks[shift] = blocks.get(shift, 0) | mask
-        left = tuple((mask, shift) for shift, mask in blocks.items() if shift > 0)
-        right = tuple((mask, -shift) for shift, mask in blocks.items() if shift < 0)
-        return blocks.get(0, 0), left, right
+        # a step moves some word, so some bits go up and some down
+        up, *left = [(mask, shift) for shift, mask in blocks.items() if shift > 0]
+        down, *right = [(mask, -shift) for shift, mask in blocks.items() if shift < 0]
+        extra = (tuple(left), tuple(right)) if left or right else ()
+        return (blocks.get(0, 0), *up, *down, extra)
 
 
-def _bit_walk(code: int, steps: Iterable[tuple[int, tuple, tuple]]) -> Iterator[int]:
+def _bit_walk(code: int, steps: Iterable[tuple]) -> Iterator[int]:
     """The one-int code, then its image after each step in turn."""
     yield code
-    for fixed, left, right in steps:
-        image = code & fixed
-        for mask, shift in left:
-            image |= (code & mask) << shift
-        for mask, shift in right:
-            image |= (code & mask) >> shift
+    for fixed, up, rise, down, fall, extra in steps:
+        image = code & fixed | (code & up) << rise | (code & down) >> fall
+        if extra:
+            left, right = extra
+            for mask, shift in left:
+                image |= (code & mask) << shift
+            for mask, shift in right:
+                image |= (code & mask) >> shift
         code = image
         yield code
 

@@ -312,15 +312,18 @@ class ClosureResult:
     ``dim``-letter words over ``alphabet`` (``core._Packing``).  ``states``
     decodes them to codes on first read and keeps them; ``sorted_states``
     decodes in descending int order, which is ascending code order, since
-    flips keep a code's size.  A result built with decoded ``states``, as
+    flips keep a code's size.  ``levels`` counts the states first reached
+    at each flip distance from the seed, the seed's 1 first; they sum to
+    the states kept.  A result built with decoded ``states``, as
     ``dataclasses.replace(result, states=...)`` builds one, packs them in
-    place of ``packed``."""
+    place of ``packed`` and keeps ``levels`` as given."""
 
     packed: frozenset[int]
     exhausted: bool
     frontier_count: int
     alphabet: Alphabet
     dim: int
+    levels: tuple[int, ...]
 
     def __init__(
         self,
@@ -329,13 +332,19 @@ class ClosureResult:
         frontier_count: int,
         alphabet: Alphabet,
         dim: int,
+        levels: tuple[int, ...],
         states: Optional[Iterable[Code]] = None,
     ) -> None:
         if states is not None:
             states = self.__dict__["states"] = frozenset(states)
             packed = frozenset(map(_packing(alphabet, dim).pack, states))
         self.__dict__.update(
-            packed=packed, exhausted=exhausted, frontier_count=frontier_count, alphabet=alphabet, dim=dim
+            packed=packed,
+            exhausted=exhausted,
+            frontier_count=frontier_count,
+            alphabet=alphabet,
+            dim=dim,
+            levels=levels,
         )
 
     @cached_property
@@ -363,7 +372,13 @@ def closure(
     visited = {start}
     queue = [start]
     frontier = 0
+    # the queue holds each distance's states after the last's, so a level
+    # is complete when the first state after it is expanded
+    levels, level_end = [1], 1
     for index, current in enumerate(queue):
+        if index == level_end:
+            levels.append(len(queue) - index)
+            level_end = len(queue)
         # the flips of a code give distinct codes
         successors = [s for s in packing.successors(current) if s not in visited]
         successors.sort(reverse=True)  # by code, ascending
@@ -373,6 +388,8 @@ def closure(
             break
         visited.update(successors)
         queue.extend(successors)
+    if len(queue) > level_end:  # the level a budget cut short
+        levels.append(len(queue) - level_end)
     # every state kept is queued once: the set goes before the queue is
     # frozen, so only one hash table of the states is ever alive
     visited.clear()
@@ -382,6 +399,7 @@ def closure(
         frontier_count=frontier,
         alphabet=alphabet,
         dim=packing.dim,
+        levels=tuple(levels),
     )
 
 

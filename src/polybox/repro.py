@@ -57,9 +57,18 @@ COVER_CLASS_COUNTS = {5: 1, 6: 1, 7: 3, 8: 4, 9: 19, 10: 51, 11: 153}
 # four (spanning at most two positions) at d=2, two more spanning three
 # positions from d=3 on; regression values, oracle-checked
 SMALL_COVER_CLASS_COUNTS = {2: 4, 5: 6}
-# cube tiling codes by (dimension, pair count); regression values, equal to
-# the flip closures of the simple seeds and, at d=3, to bench/census.py
-TILING_CODE_COUNTS = {(2, 2): 12, (3, 2): 744, (3, 3): 17_793, (3, 4): 152_128}
+# cube tiling codes by (dimension, pair count), as the flip closure of the
+# simple seed reaches them: the codes first reached at each flip distance.
+# Regression values; they sum to the code counts 12, 744, 17,793 and
+# 152,128, equal at d=3 to bench/census.py's
+TILING_CODE_LEVELS = {
+    (2, 2): (1, 4, 2, 4, 1),
+    (3, 2): (1, 12, 42, 68, 111, 96, 84, 96, 111, 60, 42, 20, 1),
+    (3, 3): (1, 24, 168, 448, 984, 1536, 1728, 1920, 2688, 2784, 2400, 2176, 872, 64),
+    (3, 4): (
+        1, 36, 378, 1404, 3591, 7776, 10692, 12960, 18711, 23652, 24786, 27756, 18657, 1728
+    ),
+}
 SABC_SIZE8_JOINT_COVERS = 64
 
 
@@ -182,20 +191,23 @@ def job_example1(long: bool) -> JobReport:
 
 
 def _connectivity(name: str, dim: int) -> JobReport:
-    """For each pair count ``TILING_CODE_COUNTS`` lists at ``dim``: the
+    """For each pair count ``TILING_CODE_LEVELS`` lists at ``dim``: the
     census of cube tiling codes, one exact cover per code
     (``_tiling_census``), equals the flip closure of the simple seed.  Both
-    sides are packed alike, so they compare as two sets of ints."""
+    sides are packed alike, so they compare as two sets of ints.  The
+    closure's codes by flip distance from the seed are regression values
+    too."""
     report = JobReport(name, True)
     seed = make_code(itertools.product((0, 1), repeat=dim))
-    for (d, pairs), count in TILING_CODE_COUNTS.items():
+    for (d, pairs), levels in TILING_CODE_LEVELS.items():
         if d != dim:
             continue
         alphabet = Alphabet(pairs)
         census = _tiling_census(alphabet, dim)
-        report.check(f"tiling codes d={dim}, {pairs} pairs (regression)", count, len(census))
+        report.check(f"tiling codes d={dim}, {pairs} pairs (regression)", sum(levels), len(census))
         closed = closure(seed, alphabet)
         report.check(f"closure exhausted, {pairs} pairs", True, closed.exhausted)
+        report.check(f"codes by flip distance, {pairs} pairs (regression)", levels, closed.levels)
         report.check(
             f"closure of the simple seed is the census, {pairs} pairs",
             True,

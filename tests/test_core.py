@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from polybox.alphabet import Alphabet, STAR
 from polybox.core import (
+    _Packing,
     are_disjoint,
     are_equivalent,
     binary_code_set,
@@ -264,3 +265,40 @@ class TestPackedWords:
         table = word_table(Alphabet(8), 8)  # 16**8 words
         n = pack_word(W("bbbbbbbb"), Alphabet(8))
         assert table[n] is table[n] and len(table) == 1
+
+
+class TestWordIndex:
+    """``_Packing.index`` memoizes ``pack_word``, so each word is checked
+    on first sight and a refused word is checked again on every sight."""
+
+    def test_refused_word_is_refused_on_every_call(self):
+        packing = _Packing(Alphabet(2), 3)
+        good, bad = (0, 1, 2), (0, 4, 1)
+        message = "letter 4 is outside the alphabet of 2 pairs"
+        for code in ([bad], [good, bad], [bad, good]):
+            with pytest.raises(ValueError, match=message):
+                packing.pack(code)
+        assert packing.pack([good]) == 1 << packing.top - pack_word(good, Alphabet(2))
+        with pytest.raises(ValueError, match=message):
+            packing.pack([good, bad])
+        assert dict(packing.index) == {good: pack_word(good, Alphabet(2))}
+
+    @given(codes())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_values_are_pack_word(self, data):
+        alphabet, code = data
+        packing = _Packing(alphabet, len(code[0]))
+        expected = sum(1 << packing.top - pack_word(v, alphabet) for v in code)
+        assert packing.pack(code) == packing.pack(code) == expected
+        assert dict(packing.index) == {v: pack_word(v, alphabet) for v in code}
+
+    def test_bools_pack_as_their_ints(self):
+        for first, second in (((True, 0), (1, 0)), ((1, 0), (True, 0))):
+            packing = _Packing(Alphabet(1), 2)
+            assert packing.pack([first]) == packing.pack([second]) == 1 << packing.top - 2
+
+    def test_list_words_pack_as_tuples(self):
+        packing = _Packing(Alphabet(2), 2)
+        words = [[0, 0], [1, 0], [0, 3]]
+        assert packing.pack(words) == packing.pack(map(tuple, words))
+        assert all(type(v) is tuple for v in packing.index)

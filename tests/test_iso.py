@@ -242,6 +242,21 @@ def _both_walks(monkeypatch):
     yield
 
 
+def _counted_walks(monkeypatch) -> list[int]:
+    """The number of images each element walk yields, walk by walk."""
+    counts = []
+    walk = iso._bit_walk
+
+    def counted(code, steps):
+        counts.append(0)
+        for image in walk(code, steps):
+            counts[-1] += 1
+            yield image
+
+    monkeypatch.setattr(iso, "_bit_walk", counted)
+    return counts
+
+
 def _sample_codes(group: Group, rng: Random, count: int):
     """Sets of one to four words (of at most as many as there are)."""
     words = list(itertools.product(group.alphabet.letters(), repeat=group.dim))
@@ -434,6 +449,32 @@ class TestWalks:
         expected = tuple(sorted({canonical_form(c, stab) for c in part}))
         for _ in _both_walks(monkeypatch):
             assert dedup_orbits(part + part[:3], stab) == expected
+
+    def test_dedup_walks_each_class_once(self, monkeypatch):
+        """Effort regression: the size-9 census walks its 19 classes, one
+        element walk of ``order`` images each, and no other code."""
+        stab, family = _census_group(), _cover_family(9)
+        counts = _counted_walks(monkeypatch)
+        assert len(dedup_orbits(family, stab)) == 19
+        assert counts == [stab.order] * 19 and stab.order == 3840
+
+    def test_canonical_form_walks_the_group_once(self, monkeypatch):
+        stab = _census_group()
+        counts = _counted_walks(monkeypatch)
+        canonical_form(_cover_family(7)[0], stab)
+        assert counts == [stab.order]
+
+    def test_least_image_takes_out_exactly_the_pending_orbit_codes(self, monkeypatch):
+        stab, family = _census_group(), _cover_family(7)
+        code = family[-1]
+        for _ in _both_walks(monkeypatch):
+            orbit = set(map(stab._pack, stab.orbit(code)))
+            pending = set(map(stab._pack, family))
+            assert pending & orbit and pending - orbit
+            expected = pending - orbit
+            least = stab._least_image(stab._pack(code), pending)
+            assert pending == expected
+            assert stab._unpack([least]) == {min(stab.orbit(code))}
 
     def test_tables_hold_only_the_words_met(self):
         group = word_stabilizer((B,) * 8, Alphabet(3))  # 6**8 words

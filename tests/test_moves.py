@@ -54,6 +54,7 @@ from polybox.moves import (
 )
 from polybox.pbxio import parse_word
 from polybox.realize import box
+from polybox.repro import TILING_CODE_LEVELS
 from polybox.sampling import random_code, random_tiling_code
 from polybox.search import enumerate_minimal_covers
 
@@ -279,6 +280,15 @@ class TestClosure:
         assert result.exhausted and len(result.states) == size
         assert not closure(first, Alphabet(3), state_budget=size - 1).exhausted
 
+    def test_list_words_are_taken(self):
+        """Words given as lists are checked and packed as their tuples."""
+        code, alphabet = [[0, 0], [1, 0], [0, 1], [1, 1]], Alphabet(1)
+        result = closure(code, alphabet)
+        assert result.states == {_simple(2)} and result.exhausted and result.levels == (1,)
+        assert neighbors(code, alphabet) == ()
+        assert find_flip_path(code, code[::-1], alphabet) == (Verdict.YES, ())
+        assert closure(code, Alphabet(2)) == closure(_simple(2), Alphabet(2))
+
     def test_membership_is_symmetric(self):
         first, second = example_pair()
         alphabet = Alphabet(3)
@@ -319,7 +329,7 @@ class TestPackedClosure:
         result = closure(_simple(3), Alphabet(2), state_budget=100)
         for field in dataclasses.fields(result):
             value = getattr(result, field.name)
-            if isinstance(value, frozenset):
+            if isinstance(value, (frozenset, tuple)):
                 assert all(type(state) is int for state in value)
             else:
                 assert type(value) in (int, bool, Alphabet), field.name
@@ -332,6 +342,7 @@ class TestPackedClosure:
         monkeypatch.setattr(_Packing, "unpack", None)
         copied = dataclasses.replace(result, exhausted=False)
         assert copied.packed is result.packed and not copied.exhausted
+        assert copied.levels == result.levels == TILING_CODE_LEVELS[3, 2]
         monkeypatch.undo()
         dropped = min(result.states)
         missing = dataclasses.replace(result, states=result.states - {dropped})
@@ -652,9 +663,13 @@ def slow_neighbors(code, alphabet):
     return tuple(sorted(seen))
 
 
-def slow_closure(code, alphabet, state_budget=DEFAULT_STATE_BUDGET):
-    """(states, exhausted, frontier count)."""
+def slow_closure(code, alphabet, state_budget=DEFAULT_STATE_BUDGET, levels=None):
+    """(states, exhausted, frontier count); ``levels``, a list if given,
+    gets the number of states kept at each flip distance."""
     visited = {code}
+    depth = {code: 0}
+    levels = [] if levels is None else levels
+    levels.append(1)
     queue = deque([code])
     while queue:
         current = queue.popleft()
@@ -665,6 +680,10 @@ def slow_closure(code, alphabet, state_budget=DEFAULT_STATE_BUDGET):
                 return visited, False, len(queue) + 1
             visited.add(successor)
             queue.append(successor)
+            d = depth[successor] = depth[current] + 1
+            if d == len(levels):
+                levels.append(0)
+            levels[d] += 1
     return visited, True, 0
 
 
@@ -761,17 +780,19 @@ class TestAgainstSlowTwins:
 
     @pytest.mark.parametrize("dim, pairs, count", [(2, 2, 12), (3, 2, 744), (3, 3, 17793)])
     def test_closures(self, dim, pairs, count):
-        result = closure(_simple(dim), Alphabet(pairs))
-        states, exhausted, _ = slow_closure(_simple(dim), Alphabet(pairs))
+        result, levels = closure(_simple(dim), Alphabet(pairs)), []
+        states, exhausted, _ = slow_closure(_simple(dim), Alphabet(pairs), levels=levels)
         assert result.exhausted and exhausted
         assert result.states == states and len(states) == count
+        assert result.levels == tuple(levels) == TILING_CODE_LEVELS[dim, pairs]
 
     def test_budgeted_closure(self):
-        result = closure(_simple(4), Alphabet(2), state_budget=30000)
-        states, exhausted, frontier = slow_closure(_simple(4), Alphabet(2), 30000)
+        result, levels = closure(_simple(4), Alphabet(2), state_budget=30000), []
+        states, exhausted, frontier = slow_closure(_simple(4), Alphabet(2), 30000, levels)
         assert (result.states, result.exhausted, result.frontier_count) == (
             states, exhausted, frontier
         )
+        assert result.levels == tuple(levels) and sum(levels) == 30000
 
     def test_small_budgets(self):
         first, _ = example_pair()
@@ -881,11 +902,12 @@ class TestPackedStates:
         """The order of visits shows only where a budget cuts a closure."""
         rng, cut = Random(15), 0
         for alphabet, code in _seeded_codes():
-            budget = rng.randrange(1, 200)
+            budget, levels = rng.randrange(1, 200), []
             result = closure(code, alphabet, state_budget=budget)
             assert (result.states, result.exhausted, result.frontier_count) == slow_closure(
-                code, alphabet, budget
+                code, alphabet, budget, levels
             )
+            assert result.levels == tuple(levels)
             cut += not result.exhausted
         assert cut >= 10
 
