@@ -1,7 +1,9 @@
 """The cell-enumeration oracle, and its agreement with the weight
 criterion (the two deliberately independent cover routes)."""
 
+import ast
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,6 +18,7 @@ from polybox.core import (
 )
 from polybox.catalog import small_covers
 from polybox.pbxio import parse_word
+from polybox import realize
 from polybox.realize import (
     box,
     oracle_boxes_meet,
@@ -55,6 +58,125 @@ def test_box_matches_per_cell_membership(pairs, dim):
         assert box(v, alphabet) == _cell_box(v, alphabet)
 
 
+def slow_box(v, alphabet):
+    """The box built position by position, with no table.  The box over
+    the positions before ``i`` fills block 0 of ``2**k`` blocks; it is
+    copied, by doubling, to every block whose point has a 0 for the
+    letter's pair, and the copies then shift to the letter's half."""
+    k = alphabet.pair_count
+    cells, block = 1, 1
+    for s in v:
+        assert 0 <= s < 2 * k
+        pair, side = s >> 1, s & 1
+        for j in range(k):
+            if j != pair:
+                cells |= cells << (block << j)
+        cells <<= (block << pair) * side
+        block <<= k
+    return cells
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
+def test_box_matches_the_doubling_on_every_word(pairs, dim):
+    alphabet = Alphabet(pairs)
+    for v in product(alphabet.letters(), repeat=dim):
+        assert box(v, alphabet) == slow_box(v, alphabet)
+
+
+@pytest.mark.parametrize("pairs", [2, 3])
+def test_box_matches_the_doubling_on_sampled_words_at_d5(pairs):
+    alphabet = Alphabet(pairs)
+    rng = Random(pairs)
+    for _ in range(200):
+        v = random_word(alphabet, 5, rng)
+        assert box(v, alphabet) == slow_box(v, alphabet)
+
+
+def test_letters_are_refused_position_by_position():
+    alphabet = Alphabet(2)
+    outside_first, joker_first = (0, 4, STAR), (0, STAR, 4)
+    for word, message in ((outside_first, "not in the alphabet"), (joker_first, "joker")):
+        with pytest.raises(ValueError, match=message):
+            box(word, alphabet)
+        with pytest.raises(ValueError, match=message):
+            oracle_is_covered(word, ((0, 0, 0),), alphabet)
+        with pytest.raises(ValueError, match=message):
+            oracle_is_covered((0, 0, 0), ((1, 1, 1), word), alphabet)
+
+
+def test_dimension_mismatch_comes_after_the_asked_words_checks():
+    alphabet = Alphabet(2)
+    short = ((0, 0),)
+    with pytest.raises(ValueError, match="too large"):
+        oracle_is_covered((0,) * 13, short, alphabet)
+    with pytest.raises(ValueError, match="joker"):
+        oracle_is_covered((0, STAR, 0), short, alphabet)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        oracle_is_covered((0, 0, 4), short, alphabet)
+    # each code word is measured before its letters are read
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        oracle_is_covered((0, 0, 0), ((1, 1, 1), (STAR,)), alphabet)
+
+
+# the oracle is the independent cover route: it may take only the word
+# and code types from core, and nothing from the searchers
+ORACLE_CORE_NAMES = {"Code", "Word"}
+ORACLE_FORBIDDEN = {"sampling", "search", "moves", "iso"}
+
+
+def _oracle_import_faults(source):
+    """The imports of a module of ``polybox`` that would tie the oracle
+    to the other cover route."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "polybox" and (
+                    len(parts) == 1 or parts[1] in ORACLE_FORBIDDEN | {"core"}
+                ):
+                    faults.append(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "polybox" and not module.startswith("polybox."):
+                    continue
+                module = module.removeprefix("polybox").removeprefix(".")
+            names = {alias.name for alias in node.names}
+            if not module:
+                faults += sorted(names & (ORACLE_FORBIDDEN | {"core", "*"}))
+            elif module.split(".")[0] in ORACLE_FORBIDDEN:
+                faults.append(module)
+            elif module == "core":
+                faults += sorted(names - ORACLE_CORE_NAMES)
+    return faults
+
+
+def test_oracle_imports_nothing_of_the_other_cover_route():
+    source = Path(realize.__file__).read_text()
+    assert "from .core import Code, Word" in source
+    assert _oracle_import_faults(source) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from .core import Code, Word, _letter_masks",
+        "from .core import _Packing",
+        "from polybox.core import *",
+        "from . import sampling",
+        "from .search import _cover_pool",
+        "from polybox.moves import closure",
+        "import polybox.iso",
+        "import polybox.core",
+        "import polybox",
+    ],
+)
+def test_oracle_import_guard_catches(line):
+    assert _oracle_import_faults(line)
+
+
 def test_letters_without_a_box_are_refused():
     alphabet = Alphabet(2)
     with pytest.raises(ValueError, match="joker"):
@@ -78,8 +200,15 @@ def test_self_cover():
 
 
 def test_scale_cap():
+    # refused before a table is built; a full cache keeps its size as it
+    # builds, so count the builds too
+    before = realize._cell_masks.cache_info()
     with pytest.raises(ValueError, match="too large"):
         oracle_is_covered((0,) * 8, ((0,) * 8,), Alphabet(8))
+    with pytest.raises(ValueError, match="too large"):
+        box((STAR,) * 8, Alphabet(8))
+    after = realize._cell_masks.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 @given(word_pairs())
