@@ -102,20 +102,20 @@ def pack_code(code: Iterable[Word], alphabet: Alphabet) -> tuple[int, ...]:
 
 class _DigitSum(dict):
     """Packed word -> ``start + lookups[0][last digit] + ...``, least
-    significant digit first; filled as words are met, so it holds only
-    those, never the whole ``radix ** dim`` word space.  With int lookups
-    it is a packed image of words; with one-letter tuples it unpacks."""
+    significant digit first, each lookup holding one entry per value of
+    its digit; filled as words are met, so it holds only those, never the
+    whole word space.  With int lookups it is a packed image of words;
+    with one-letter tuples it unpacks."""
 
-    def __init__(self, radix: int, lookups: list[tuple], start) -> None:
+    def __init__(self, lookups: list[tuple], start) -> None:
         super().__init__()
-        self.radix = radix
         self.lookups = lookups
         self.start = start
 
     def __missing__(self, n: int):
         value, rest = self.start, n
         for lookup in self.lookups:
-            rest, digit = divmod(rest, self.radix)
+            rest, digit = divmod(rest, len(lookup))
             value = lookup[digit] + value
         self[n] = value
         return value
@@ -126,7 +126,7 @@ def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
     built once, so the codes unpacked through one table share their
     words."""
     letters = tuple((s,) for s in alphabet.letters())
-    return _DigitSum(alphabet.size, [letters] * dim, ())
+    return _DigitSum([letters] * dim, ())
 
 
 # Flip searches and random codes hold a code as a bit per word, and refuse
@@ -136,38 +136,59 @@ STATE_BITS_CAP = 1 << 16
 
 
 class _WordIndex(dict):
-    """Word -> packed word, filled through ``pack_word`` as words are met,
-    so a word's first sight is checked and a refused word is never kept."""
+    """Word -> packed word, filled as words are met: a word's first sight
+    is checked by ``pack_word``, so a refused word is never kept, and then
+    sums what each of its letters adds (``values``)."""
 
-    def __init__(self, alphabet: Alphabet) -> None:
+    def __init__(self, alphabet: Alphabet, values: list[dict[int, int]]) -> None:
         super().__init__()
         self.alphabet = alphabet
+        self.values = values
 
     def __missing__(self, v: Word) -> int:
-        n = self[v] = pack_word(v, self.alphabet)
+        pack_word(v, self.alphabet)
+        n = self[v] = sum(map(dict.__getitem__, self.values, v))
         return n
 
 
 class _Packing:
-    """Codes of one dimension over one alphabet as one int each: packed
-    word ``w`` is bit ``top - w``.  Between codes of one size a larger int
-    is a lex-smaller code.  At a position of place value ``p``, the word at
-    bit ``b`` has the letter ``radix - 1`` less ``b``'s digit, so each
-    letter's mask is a run of ``p`` bits with period ``radix * p``.
+    """Codes of one dimension as one int each, over the letters
+    ``letters[i]`` at each position ``i`` (by default every letter of the
+    alphabet): a word packs to its mixed-radix number over each position's
+    sorted letters, position 0 most significant, and packed word ``w`` is
+    bit ``top - w``.  Between codes of one size a larger int is a
+    lex-smaller code.  At a position of radix ``r`` and place value ``p``,
+    the word at bit ``b`` has the digit ``r - 1`` less ``b``'s digit, so
+    each digit's mask is a run of ``p`` bits with period ``r * p``.
+    ``digits[i]`` lists position ``i``'s letters by digit, ``letters[i]``
+    holds the mask of each digit, and ``values[i]`` what each letter adds
+    to a packed word; over every letter a letter is its own digit.
 
     ``index`` mirrors ``words``: it maps each word met, as a tuple, to its
     packed word, so a code packs by one dict hit a word and each word is
     checked by ``pack_word`` once."""
 
-    def __init__(self, alphabet: Alphabet, dim: int) -> None:
-        size = alphabet.size**dim
+    def __init__(
+        self, alphabet: Alphabet, dim: int, letters: Iterable[Iterable[int]] | None = None
+    ) -> None:
+        if letters is None:
+            letters = [alphabet.letters()] * dim
+        self.digits = [tuple(sorted(at)) for at in letters]
+        places, size = [], 1
+        for at in reversed(self.digits):
+            places.append(size)
+            size *= len(at)
+        places.reverse()
         self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
-        self.words = word_table(alphabet, dim)
-        self.index = _WordIndex(alphabet)
-        self.letters = []  # per position, a mask per letter
-        for place in place_values(alphabet, dim):
-            run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << self.radix * place) - 1)
-            self.letters.append([run << (self.radix - 1 - s) * place for s in alphabet.letters()])
+        self.values = [{s: d * p for d, s in enumerate(at)} for at, p in zip(self.digits, places)]
+        self.words = _DigitSum([tuple((s,) for s in at) for at in reversed(self.digits)], ())
+        self.index = _WordIndex(alphabet, self.values)
+        self.letters = []  # per position, a mask per digit
+        for at, place in zip(self.digits, places):
+            radix, run = len(at), 0
+            if size:
+                run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << radix * place) - 1)
+            self.letters.append([run << (radix - 1 - d) * place for d in range(radix)])
 
     def pack(self, code: Iterable[Word]) -> int:
         index, top = self.index, self.top

@@ -10,12 +10,18 @@ orbit minima, found by one of two walks:
   before by one step planned from the group's layout
   (``Group._walk_steps``): ``order`` images per orbit.  A code is one int
   in ``core._Packing``'s layout, a bit per word, where a larger int is a
-  lex-smaller code, so the orbit minimum is the largest image.  A step
-  permutes bits by masked shifts (Knuth, TAOCP 4A, 7.1.3) in one
-  expression, ``code & fixed | (code & up) << rise | (code & down) >>
-  fall``: it keeps some bits and moves one block up and one down, which
-  is all that most steps move; the few others, such as position swaps,
-  move their further blocks in a loop;
+  lex-smaller code, so the orbit minimum is the largest image.  The
+  packing spans only the letters the codes use: each element carries
+  each of the group's letter classes (the fixed word's letter at a
+  position, its complement, the free letters; without a word, every
+  letter) onto itself, so the words over the classes the codes touch
+  hold every image.  Covers of a word never hold its complements, so the
+  census of covers of ``bbbbb`` over two pairs packs 3**5 words, not
+  4**5.  A step permutes bits by masked shifts (Knuth, TAOCP 4A, 7.1.3)
+  in one expression, ``code & fixed | (code & up) << rise | (code & down)
+  >> fall``: it keeps some bits and moves one block up and one down,
+  which is all that most steps move; the few others, such as position
+  swaps, move their further blocks in a loop;
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
@@ -38,21 +44,21 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .alphabet import STAR, Alphabet, letter_name
-from .core import Code, Word, _DigitSum, _Packing, pack_code, place_values, word_table
+from .core import Code, Word, _DigitSum, _Packing, pack_code, pack_word, place_values, word_table
 
-# The element walk plans its steps once per group (0.5 ms at the 3,840
-# elements of the two-pair stabilizer of bbbbb), then makes ``order``
-# images per orbit; the orbit walk makes ``|generators|`` images per orbit
-# code.  So the element walk wins on near-regular orbits: at 3,840 elements
-# the size-10 census of twin-pair-free covers of bbbbb dedups in 0.13-0.18 s
-# against 1.8-2.2 s, and one of its canonical forms takes 2-3 ms against
-# 40-70 ms; it loses on small orbits (a 2-word cover: 1-2 ms against
-# 0.05 ms).  Above this order no family measured favours it throughout: at
-# 5,040 (one pair, d=7) 200 random 3-word codes took 0.51 s against 1.10 s,
-# 1-word codes 0.33 s against 0.02 s; at 46,080 (two pairs, d=6) a small
-# cover's canonical form took 28 ms against 0.4 ms, the walk's plan
-# included.  Timed on a 2-core machine, whose speed varies by up to 2x
-# between runs.
+# The element walk plans its steps once per group and letter set (0.3-0.6
+# ms at the 3,840 elements of the two-pair stabilizer of bbbbb), then makes
+# ``order`` images per orbit; the orbit walk makes ``|generators|`` images
+# per orbit code.  So the element walk wins on near-regular orbits: at
+# 3,840 elements the size-10 census of twin-pair-free covers of bbbbb
+# dedups in 0.08 s against 1.6-1.9 s, and one of its canonical forms takes
+# 1.2 ms against 36-39 ms; it loses on small orbits (a 2-word cover: 0.9 ms
+# against 0.2 ms).  Above this order no family measured favours it
+# throughout: at 5,040 (one pair, d=7) 200 random 3-word codes took 0.29 s
+# against 0.72 s, 1-word codes 0.27-0.38 s against 0.02-0.03 s; at 46,080
+# (two pairs, d=6) a 2-word cover's canonical form took 12-20 ms against
+# 0.3-0.5 ms, the walk's plan included.  Timed (best of 2-3, process time)
+# on a 2-core machine, whose speed varies by up to 2x between runs.
 ELEMENT_WALK_MAX_ORDER = 5_000
 
 
@@ -106,14 +112,16 @@ class Group:
     ``d! * prod |N_i|``.
 
     A group of at most ``ELEMENT_WALK_MAX_ORDER`` elements is walked element
-    by element over one-int codes, along bit steps planned when it first
-    walks and kept for its life with the letter masks they are built from.
-    Others, such as the three-pair d=5 word stabilizer (3,932,160
-    elements), are walked breadth-first over the orbit with the swaps and
-    the factors as generators; their tables, one per generator, and the
-    table that unpacks words are kept too, but hold only the words met,
-    never the whole word space.  Codes with a repeated word are refused,
-    since one int per code would merge the repeat.
+    by element over one-int codes.  Each call packs its codes over the
+    letters of the letter classes their words touch (``_check``); the
+    group keeps one packing, and the bit steps planned over it, per letter
+    set it has walked, with one plan of the walk for them all.  Others,
+    such as the three-pair d=5 word stabilizer (3,932,160 elements), are
+    walked breadth-first over the orbit with the swaps and the factors as
+    generators; their tables, one per generator, and the table that
+    unpacks words are kept too, but hold only the words met, never the
+    whole word space.  Codes with a repeated word are refused, since one
+    int per code would merge the repeat.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, word: Word | None = None) -> None:
@@ -140,10 +148,20 @@ class Group:
         ]
         free_count = alphabet.pair_count - (word is not None)
         self.order = math.factorial(dim) * (math.factorial(free_count) << free_count) ** dim
+        # per position, each letter's class as a bit: the word's letter,
+        # its complement or a free letter; without a word, one class
+        if word is None:
+            self._classes = [[1] * alphabet.size] * dim
+        else:
+            self._classes = [
+                [1 if s == w else 2 if s == w ^ 1 else 4 for s in alphabet.letters()] for w in word
+            ]
+        self._every = sum({c for at in self._classes for c in at})
         self._tables: list[_DigitSum] | None = None
         self._words: _DigitSum | None = None
-        self._bits: _Packing | None = None
-        self._steps: list[tuple[int, int, int, int, int, tuple]] | None = None
+        self._plan: tuple[list[GroupElement], list[int]] | None = None
+        self._packings: dict[int, _Packing] = {}
+        self._steps: dict[int, list[tuple[int, int, int, int, int, tuple]]] = {}
 
     def elements(self) -> Iterator[GroupElement]:
         """Every element, each position permutation with every choice of
@@ -159,40 +177,65 @@ class Group:
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
-        packed = self._pack(code)
+        classes = self._check([code])
+        packed = self._pack(code, classes)
         if self._walks_elements():
-            return self._unpack(set(_bit_walk(packed, self._walk_steps())))
-        return self._unpack(self._orbit_walk(packed))
+            return self._unpack(set(_bit_walk(packed, self._walk_steps(classes))), classes)
+        return self._unpack(self._orbit_walk(packed), classes)
 
     def _walks_elements(self) -> bool:
         return self.order <= ELEMENT_WALK_MAX_ORDER
 
-    def _pack(self, code: Code) -> int | tuple[int, ...]:
-        """The code as its walk takes it: one int for the element walk, a
+    def _check(self, codes: Iterable[Code]) -> int:
+        """The letter classes the codes' words touch, as bits, once each
+        code is checked in turn: its dimension, then its repeats, since
+        one int per code would merge a repeat, then each word not met
+        before, by ``pack_word``.  Each element carries each class onto
+        itself, so every image of the codes packs over those classes'
+        letters."""
+        dim, alphabet, letter_classes = self.dim, self.alphabet, self._classes
+        seen: set[Word] = set()
+        classes = 0
+        for code in codes:
+            if any(map(dim.__ne__, map(len, code))):
+                raise ValueError("dimension mismatch")
+            words = set(code)
+            if len(words) != len(code):
+                raise ValueError("repeated word in code")
+            if not words <= seen:
+                for v in code:
+                    if v not in seen:
+                        pack_word(v, alphabet)
+                        seen.add(v)
+                        for at, s in zip(letter_classes, v):
+                            classes |= at[s]
+        return classes
+
+    def _pack(self, code: Code, classes: int | None = None) -> int | tuple[int, ...]:
+        """The checked code as its walk takes it: one int over the letters
+        of ``classes`` (all of them by default) for the element walk, a
         sorted tuple of packed words for the orbit walk."""
-        if any(len(v) != self.dim for v in code):
-            raise ValueError("dimension mismatch")
-        if len(set(code)) != len(code):
-            raise ValueError("repeated word in code")
         if self._walks_elements():
-            return self._packing().pack(code)
+            return self._packing(classes).pack(code)
         return pack_code(code, self.alphabet)
 
-    def _unpack(self, images: Iterable) -> frozenset[Code]:
+    def _unpack(self, images: Iterable, classes: int | None = None) -> frozenset[Code]:
         if self._walks_elements():
-            return frozenset(map(self._packing().unpack, images))
+            return frozenset(map(self._packing(classes).unpack, images))
         if self._words is None:
             self._words = word_table(self.alphabet, self.dim)
         words = self._words
         return frozenset(tuple(map(words.__getitem__, image)) for image in images)
 
-    def _least_image(self, packed: int | tuple[int, ...], pending: set):
+    def _least_image(
+        self, packed: int | tuple[int, ...], pending: set, classes: int | None = None
+    ) -> int | tuple[int, ...]:
         """The packed orbit minimum of a packed code, with the orbit's codes
         taken out of ``pending``.  The element walk's images stream by, and
         only the largest int so far is kept."""
         if self._walks_elements():
             best = packed
-            for image in _bit_walk(packed, self._walk_steps()):
+            for image in _bit_walk(packed, self._walk_steps(classes)):
                 if image in pending:
                     pending.remove(image)
                 if image > best:
@@ -202,10 +245,16 @@ class Group:
         pending.difference_update(orbit)
         return min(orbit)
 
-    def _packing(self) -> _Packing:
-        if self._bits is None:
-            self._bits = _Packing(self.alphabet, self.dim)
-        return self._bits
+    def _packing(self, classes: int | None = None) -> _Packing:
+        """The element walk's packing over the letters of ``classes``, all
+        of them by default, built once per letter set."""
+        if classes is None:
+            classes = self._every
+        packing = self._packings.get(classes)
+        if packing is None:
+            letters = [[s for s, c in enumerate(at) if c & classes] for at in self._classes]
+            packing = self._packings[classes] = _Packing(self.alphabet, self.dim, letters)
+        return packing
 
     def _walk_tables(self) -> list[_DigitSum]:
         """One table per generator from packed word to packed image."""
@@ -220,7 +269,7 @@ class Group:
         for j in reversed(range(self.dim)):
             i = g.sigma.index(j)
             lookups.append(tuple(s * places[i] for s in g.maps[i]))
-        return _DigitSum(self.alphabet.size, lookups, 0)
+        return _DigitSum(lookups, 0)
 
     def _orbit_walk(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Breadth-first over the orbit: every generator on every image."""
@@ -243,7 +292,10 @@ class Group:
         next entry over its last, so a rerun of the lower positions' walk
         covers them wherever it starts.  The swaps normalise ``N`` and meet
         the relations of ``S_d`` modulo ``N``, so between walks of ``N``,
-        swaps in Steinhaus-Johnson-Trotter order step through its cosets."""
+        swaps in Steinhaus-Johnson-Trotter order step through its cosets.
+        Planned once per group."""
+        if self._plan is not None:
+            return self._plan
         fixed = _identity_map(self.alphabet)
         after = lambda g, m: tuple(map(g.__getitem__, m))
         elements, index, walk = list(self.swaps), {}, []
@@ -259,42 +311,51 @@ class Group:
         cosets = list(walk)
         for k in _sjt_swaps(self.dim):
             walk += [k] + cosets
-        return elements, walk
+        self._plan = elements, walk
+        return self._plan
 
-    def _walk_steps(self) -> list[tuple[int, int, int, int, int, tuple]]:
-        """The planned walk as bit steps, one per distinct element, built
-        when the group first walks and kept for its life."""
-        if self._steps is None:
+    def _walk_steps(self, classes: int | None = None) -> list[tuple]:
+        """The planned walk as bit steps over the packing of ``classes``
+        (all of them by default), one per distinct element, built when the
+        group first walks codes over that letter set and kept for its
+        life."""
+        if classes is None:
+            classes = self._every
+        steps = self._steps.get(classes)
+        if steps is None:
             elements, walk = self._walk_plan()
-            steps = list(map(self._bit_step, elements))
-            self._steps = [steps[k] for k in walk]
-        return self._steps
+            packing = self._packing(classes)
+            built = [self._bit_step(g, packing) for g in elements]
+            steps = self._steps[classes] = [built[k] for k in walk]
+        return steps
 
-    def _bit_step(self, g: GroupElement) -> tuple[int, int, int, int, int, tuple]:
-        """``g`` on one-int codes as ``(fixed, up, rise, down, fall,
-        extra)``: the bits of ``fixed`` stay, those of ``up`` move up by
-        ``rise`` and those of ``down`` down by ``fall``, and ``extra`` holds
-        ``(left, right)``, each ``(mask, shift)`` in ``left`` (``right``)
-        moving its bits up (down) by ``shift``, or is empty.  The words with
-        given letters at the positions ``g`` moves form one block, the AND
-        of those letters' masks, and all move by one shift: a word's bit
-        falls by its packed value's rise, the letters' rises times their
-        place values.  Most steps move one block each way, so only the
-        first block each way has a slot of its own."""
-        packing, places = self._packing(), place_values(self.alphabet, self.dim)
+    def _bit_step(self, g: GroupElement, packing: _Packing) -> tuple:
+        """``g`` on one-int codes in ``packing`` as ``(fixed, up, rise,
+        down, fall, extra)``: the bits of ``fixed`` stay, those of ``up``
+        move up by ``rise`` and those of ``down`` down by ``fall``, and
+        ``extra`` holds ``(left, right)``, each ``(mask, shift)`` in
+        ``left`` (``right``) moving its bits up (down) by ``shift``, or is
+        empty.  The words with given letters at the positions ``g`` moves
+        form one block, the AND of those digits' masks, and all move by one
+        shift: a word's bit falls by its packed value's rise, what the
+        image's letters add less what the word's add (``packing.values``).
+        Most steps move one block each way, so only the first block each
+        way has a slot of its own; a step that moves no word of the packing
+        keeps every bit."""
         identity = _identity_map(self.alphabet)
         moved = [i for i in range(self.dim) if g.sigma[i] != i or g.maps[i] != identity]
+        masks, values = packing.letters, packing.values
         blocks: dict[int, int] = {}  # shift -> mask
-        for letters in itertools.product(identity, repeat=len(moved)):
-            v = dict(zip(moved, letters))
+        for choice in itertools.product(*(enumerate(packing.digits[i]) for i in moved)):
+            letter = {i: s for i, (_, s) in zip(moved, choice)}
             mask, shift = (2 << packing.top) - 1, 0
-            for i in moved:
-                mask &= packing.letters[i][v[i]]
-                shift += (v[i] - g.maps[i][v[g.sigma[i]]]) * places[i]
+            for i, (d, s) in zip(moved, choice):
+                mask &= masks[i][d]
+                shift += values[i][s] - values[i][g.maps[i][letter[g.sigma[i]]]]
             blocks[shift] = blocks.get(shift, 0) | mask
-        # a step moves some word, so some bits go up and some down
-        up, *left = [(mask, shift) for shift, mask in blocks.items() if shift > 0]
-        down, *right = [(mask, -shift) for shift, mask in blocks.items() if shift < 0]
+        # a permutation of bits moves some up exactly when it moves some down
+        up, *left = [(mask, shift) for shift, mask in blocks.items() if shift > 0] or [(0, 0)]
+        down, *right = [(mask, -shift) for shift, mask in blocks.items() if shift < 0] or [(0, 0)]
         extra = (tuple(left), tuple(right)) if left or right else ()
         return (blocks.get(0, 0), *up, *down, extra)
 
@@ -410,23 +471,29 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
 def canonical_form(code: Code, group: Group) -> Code:
     """Lexicographic minimum over the orbit; equal on all orbit members.
     Packing keeps lex order, so only the packed minimum is unpacked."""
-    (canonical,) = group._unpack([group._least_image(group._pack(code), set())])
+    classes = group._check([code])
+    least = group._least_image(group._pack(code, classes), set(), classes)
+    (canonical,) = group._unpack([least], classes)
     return canonical
 
 
 def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
     """One canonical representative per orbit met by the family.
 
-    The family is packed once and each orbit is walked packed; packing
-    keeps lex order, so the packed orbit minimum is the canonical form, and
-    only the representatives are unpacked.  Only the family's codes not yet
-    met are kept, not the orbits walked: an orbit can hold many codes
-    outside the family, and keeping them all set the memory peak."""
-    pending = {group._pack(code) for code in family}
+    The family's distinct words are scanned once for the letter classes
+    they touch, the family is packed once over those classes' letters, and
+    each orbit is walked packed; packing keeps lex order, so the packed
+    orbit minimum is the canonical form, and only the representatives are
+    unpacked.  Only the family's codes not yet met are kept, not the orbits
+    walked: an orbit can hold many codes outside the family, and keeping
+    them all set the memory peak."""
+    family = list(family)
+    classes = group._check(family)
+    pending = {group._pack(code, classes) for code in family}
     minima = []
     while pending:
-        minima.append(group._least_image(pending.pop(), pending))
-    return tuple(sorted(group._unpack(minima)))
+        minima.append(group._least_image(pending.pop(), pending, classes))
+    return tuple(sorted(group._unpack(minima, classes)))
 
 
 def greedy_relabel(code: Code) -> Code:

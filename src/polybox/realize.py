@@ -9,28 +9,29 @@ boxes have equal volume, and dichotomous words get disjoint boxes.
 This module answers cover questions by enumerating cells explicitly: a box
 is one int over the ``(2**k)**d`` cells, bit ``c`` for cell ``c``, whose
 point at position ``i`` is digit ``i`` of ``c`` in radix ``2**k``.  Per
-alphabet and dimension it keeps one table of cell masks, one for each
+alphabet and dimension it builds one table of cell masks, one for each
 position and letter: the cells whose point at that position sits in the
-letter's half.  A box is the AND of its word's masks.  The module
+letter's half.  A box is the AND of its word's masks.  The tables are
+kept while they fit in the mask bits of one table at the cap.  The module
 deliberately shares no logic with the weight criterion in :mod:`core`;
 the two are cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .alphabet import STAR, Alphabet
 from .core import Code, Word
 
-# A table holds 2kd masks of (2**k)**d bits: at the cap (kd = 24), 48
-# masks of 2 MiB, 96 MiB.  The cache keeps at most 8 tables, so at most
-# 768 MiB.  The trade at the cap: the first question there builds its
-# table in about 0.12 s, and later boxes, each an AND of d masks of 2 MiB,
-# are slower than shifting and ORing one up would be (a 3-word question,
-# one 2-core machine: d=12 over two pairs 0.005-0.008 s by doubling,
-# 0.019-0.021 s by masks; d=8 over three pairs 0.009-0.012 s, 0.014-0.016
-# s).  Up to 2**15 cells the masks are the faster route.
+# A table holds 2kd masks of up to (2**k)**d bits: at the cap (kd = 24),
+# 48 masks of up to 2 MiB, 94 MiB in all, since each clear-bit mask is
+# shorter by its run.  The tables kept hold at most 96 MiB of masks, 48 of
+# 2 MiB, so one table at the cap stays beside the small ones.  The trade at
+# the cap: the first question there builds its table in about 0.12 s, and
+# later boxes, each an AND of d masks of 2 MiB, are slower than shifting
+# and ORing one up would be (a 3-word question, one 2-core machine: d=12
+# over two pairs 0.005-0.008 s by doubling, 0.019-0.021 s by masks; d=8
+# over three pairs 0.009-0.012 s, 0.014-0.016 s).  Up to 2**15 cells the
+# masks are the faster route.
 CELL_CAP = 1 << 24
 
 
@@ -56,15 +57,40 @@ def _check_letters(v: Word, letters: int) -> None:
             _refuse(s)
 
 
-@lru_cache(maxsize=8)
+# (alphabet, dim) -> that table's masks and their bytes
+_tables: dict[tuple[Alphabet, int], tuple[tuple[tuple[int, ...], ...], int]] = {}
+
+
 def _cell_masks(alphabet: Alphabet, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The table kept for the alphabet and dimension, built on its first
+    question.  Before a table is built, the largest tables kept are let go
+    until it fits beside the rest in 2kd masks of ``CELL_CAP`` bits at kd =
+    log2(CELL_CAP), the most a table at the cap could hold."""
+    key = (alphabet, dim)
+    if key not in _tables:
+        need = _mask_bytes(alphabet.pair_count, dim)
+        budget = (CELL_CAP.bit_length() - 1) * CELL_CAP // 4
+        while _tables and need + sum(size for _, size in _tables.values()) > budget:
+            del _tables[max(_tables, key=lambda kept: _tables[kept][1])]
+        _tables[key] = _build_masks(alphabet.pair_count, dim), need
+    return _tables[key][0]
+
+
+def _mask_bytes(k: int, dim: int) -> int:
+    """The bytes of the masks ``_build_masks`` returns: for each bit ``t``
+    of a cell index, a set-bit mask whose top bit is the last cell's and a
+    clear-bit mask ``2**t`` bits shorter."""
+    cells = 1 << k * dim
+    return sum((cells + 7) // 8 + (cells - (1 << t) + 7) // 8 for t in range(k * dim))
+
+
+def _build_masks(k: int, dim: int) -> tuple[tuple[int, ...], ...]:
     """Per position ``i``, the masks of letters ``0..2k-1``: letter ``s``
     keeps the cells whose point at ``i`` has bit ``s >> 1`` equal to
     ``s & 1``, that is the cells with bit ``t = k*i + (s >> 1)`` of their
     index equal to ``s & 1``.  The mask for a set bit ``t`` is a run of
     ``2**t`` ones above ``2**t`` zeros, doubled until it spans the cells;
     the mask for a clear bit is that one shifted down by ``2**t``."""
-    k = alphabet.pair_count
     cells = 1 << (k * dim)
     rows = []
     for i in range(dim):

@@ -3,7 +3,9 @@ canonical forms and orbit deduplication."""
 
 import functools
 import itertools
+import math
 import os
+import re
 from random import Random
 
 import pytest
@@ -271,6 +273,45 @@ def _anchor(pairs: int, dim: int):
     return tuple(2 * (i % pairs) + (i // pairs) % 2 for i in range(dim))
 
 
+def _class_letters(group: Group) -> dict[int, list[list[int]]]:
+    """Per union of the group's letter classes, as its bits (1 the word's
+    letter, 2 its complement, 4 the free letters; without a word, 1 every
+    letter), the letters each position takes, in order."""
+    def bits(i: int, s: int) -> int:
+        if group.word is None:
+            return 1
+        return 1 if s == group.word[i] else 2 if s == group.word[i] ^ 1 else 4
+
+    letters = group.alphabet.letters()
+    present = {bits(i, s) for i in range(group.dim) for s in letters}
+    return {
+        classes: [[s for s in letters if bits(i, s) & classes] for i in range(group.dim)]
+        for classes in range(8)
+        if all(b in present for b in (1, 2, 4) if classes & b)
+    }
+
+
+def _touched(group: Group, codes) -> int:
+    """The least union of the group's letter classes that holds every
+    letter of the codes, as its bits."""
+    return min(
+        (
+            classes
+            for classes, letters in _class_letters(group).items()
+            if all(s in at for code in codes for v in code for s, at in zip(v, letters))
+        ),
+        key=int.bit_count,
+    )
+
+
+def _mixed_radix(v, letters) -> int:
+    """The word's number over each position's letters, in order."""
+    n = 0
+    for s, at in zip(v, letters):
+        n = n * len(at) + at.index(s)
+    return n
+
+
 def _stabilizers(pairs_dims):
     return [
         pytest.param(word_stabilizer(_anchor(p, d), Alphabet(p)), id=f"stab-{p}-{d}")
@@ -327,7 +368,9 @@ class TestWalks:
     @pytest.mark.parametrize("group", ENUMERABLE)
     def test_bit_steps_move_each_word_as_their_elements(self, group):
         """Each distinct planned step, as the walk takes it, carries the
-        one-bit code of every word to that of the word's image."""
+        one-bit code of every word to that of the word's image: over every
+        letter, as by default, and over the letters of each union of the
+        group's letter classes, the packings the element walk narrows to."""
         elements, walk = group._walk_plan()
         steps = group._walk_steps()
         assert len(walk) == len(steps) == group.order - 1
@@ -337,6 +380,16 @@ class TestWalks:
             for v in itertools.product(alphabet.letters(), repeat=group.dim):
                 _, image = iso._bit_walk(1 << top - pack_word(v, alphabet), [step])
                 assert image == 1 << top - pack_word(apply_word(g, v), alphabet)
+        for classes, letters in _class_letters(group).items():
+            steps = group._walk_steps(classes)
+            assert len(steps) == len(walk)
+            top = math.prod(map(len, letters)) - 1
+            assert group._packing(classes).top == top
+            for k, g in enumerate(elements):
+                step = steps[walk.index(k)]
+                for v in itertools.product(*letters):
+                    _, image = iso._bit_walk(1 << top - _mixed_radix(v, letters), [step])
+                    assert image == 1 << top - _mixed_radix(apply_word(g, v), letters)
 
     def test_element_walks_stay_within_1024_words(self):
         """Every group the element walk takes, with or without a word, has
@@ -431,10 +484,10 @@ class TestWalks:
         unpacked = []
         unpack = Group._unpack
 
-        def counting(self, images):
+        def counting(self, images, *classes):
             images = list(images)
             unpacked.append(len(images))
-            return unpack(self, images)
+            return unpack(self, images, *classes)
 
         monkeypatch.setattr(Group, "_unpack", counting)
         monkeypatch.setattr(Group, "orbit", None)  # dedup never calls it
@@ -502,3 +555,135 @@ class TestWalks:
             stab.orbit(((0, 4),))
         with pytest.raises(ValueError, match="dimension"):
             stab.orbit(((0, 1, 2),))
+
+
+# the element walk over the letters the codes use ---------------------------
+
+def _brute_orbit(group: Group, code):
+    return frozenset(apply_code(g, code) for g in _elements(group))
+
+
+def _brute_representatives(group: Group, family):
+    return tuple(sorted({min(_brute_orbit(group, code)) for code in family}))
+
+
+def _words(group: Group, keep) -> list:
+    """The words whose every position's letter passes ``keep(i, s)``."""
+    return list(itertools.product(*(
+        [s for s in group.alphabet.letters() if keep(i, s)] for i in range(group.dim)
+    )))
+
+
+def _families(group: Group, rng: Random) -> dict[str, list]:
+    """Families of sets of one to three words, by the letters they use."""
+    word = group.word or (None,) * group.dim
+    meeting = _words(group, lambda i, s: word[i] is None or s != word[i] ^ 1)
+    free = _words(group, lambda i, s: word[i] is None or s >> 1 != word[i] >> 1)
+    apart = [v for v in _words(group, lambda i, s: True) if v not in meeting]
+
+    def sample(words, count):
+        sizes = [rng.randint(1, min(3, len(words))) for _ in range(count)]
+        return [tuple(sorted(rng.sample(words, size))) for size in sizes]
+
+    families = {"meeting": sample(meeting, 6), "empty": [()]}
+    if apart:
+        families["mixed"] = sample(meeting, 3) + [
+            tuple(sorted({rng.choice(apart)} | set(code))) for code in sample(meeting, 3)
+        ]
+    if free and free != meeting:
+        families["free"] = sample(free, 4)
+    return families
+
+
+# (pairs, dim, fixing a word): small enough to enumerate; (2, 0) has no
+# positions, and the groups without a word have one letter class
+NARROWED = [
+    (2, 3, True), (3, 2, True), (2, 4, True), (1, 3, True),
+    (2, 2, False), (1, 3, False), (2, 0, True), (2, 0, False),
+]
+
+
+class TestNarrowedPackings:
+    @pytest.mark.parametrize("pairs,dim,fixing", NARROWED)
+    def test_walks_match_brute_force(self, pairs, dim, fixing, monkeypatch):
+        """Canonical forms, orbits and dedup against every element applied
+        to every code, and the element walk packs each family over exactly
+        the letter classes its words touch."""
+        anchor = _anchor(pairs, dim) if fixing else None
+        families = _families(Group(Alphabet(pairs), dim, anchor), Random(pairs * 10 + dim))
+        for name, family in families.items():
+            for _ in _both_walks(monkeypatch):
+                group = Group(Alphabet(pairs), dim, anchor)
+                assert dedup_orbits(family, group) == _brute_representatives(group, family), name
+                if group._walks_elements():
+                    touched = _touched(group, family)
+                    assert [touched] == list(group._packings), name
+                    assert group._packings[touched].digits == [
+                        tuple(at) for at in _class_letters(group)[touched]
+                    ]
+                for code in family:
+                    orbit = _brute_orbit(group, code)
+                    assert group.orbit(code) == orbit, name
+                    assert canonical_form(code, group) == min(orbit), name
+
+    def test_the_census_packs_over_the_letters_that_meet_its_anchor(self):
+        """Every word of a cover meets the anchor, so the size-10 census
+        packs over 3**5 words, as given and relabelled."""
+        g = element(
+            (2, 0, 4, 1, 3),
+            ((2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3), (3, 2, 1, 0), (2, 3, 1, 0)),
+        )
+        family = _cover_family(10)
+        relabelled = [apply_code(g, code) for code in family]
+        for anchor, codes in ((V5, family), (apply_word(g, V5), relabelled)):
+            group = word_stabilizer(anchor, Alphabet(2))
+            assert len(dedup_orbits(codes, group)) == 51
+            assert [packing.top for packing in group._packings.values()] == [242]
+
+    def test_each_step_is_built_once_per_letter_set(self, monkeypatch):
+        built = []
+        bit_step = Group._bit_step
+
+        def counted(self, g, packing):
+            built.append(packing.top)
+            return bit_step(self, g, packing)
+
+        monkeypatch.setattr(Group, "_bit_step", counted)
+        group = word_stabilizer(V5, Alphabet(2))
+        distinct = len(group._walk_plan()[0])
+        family = _cover_family(7)
+        for _ in range(2):
+            dedup_orbits(family, group)
+            canonical_form(family[0], group)
+            group.orbit(family[0])
+        assert built == [242] * distinct
+        canonical_form((V5,), group)  # the word alone: one letter a position
+        canonical_form(((0,) * 5, W("b'bbbb")), group)  # every class
+        canonical_form(((0,) * 5,), group)  # the free letters alone
+        assert built == [242] * distinct + [0] * distinct + [1023] * distinct + [31] * distinct
+
+    def test_refusals_keep_their_messages_and_order(self, monkeypatch):
+        """A dimension mismatch and a letter outside the alphabet, each in
+        the middle of a family, are refused as before, by the first code
+        that holds one; within a code, the dimension comes first."""
+        stab = word_stabilizer(W("bb"), Alphabet(2))
+        good = (W("ab"), W("a'b"))
+        short, foreign = (W("ab"), W("a")), (W("bb"), (0, 4), (5, 1))
+        dimension = "^dimension mismatch$"
+        letter = "^" + re.escape("letter 4 is outside the alphabet of 2 pairs") + "$"
+        cases = [
+            ([good, short, good], dimension),
+            ([good, foreign, good], letter),
+            ([good, foreign, short], letter),
+            ([good, short, foreign], dimension),
+            ([good, foreign + (W("a"),)], dimension),
+        ]
+        for _ in _both_walks(monkeypatch):
+            for family, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    dedup_orbits(family, stab)
+                code = next(c for c in family if c is not good)
+                with pytest.raises(ValueError, match=message):
+                    canonical_form(code, stab)
+                with pytest.raises(ValueError, match=message):
+                    stab.orbit(code)

@@ -199,16 +199,52 @@ def test_self_cover():
     assert oracle_is_covered(v, (v,), Alphabet(3))
 
 
-def test_scale_cap():
-    # refused before a table is built; a full cache keeps its size as it
-    # builds, so count the builds too
-    before = realize._cell_masks.cache_info()
+def test_scale_cap(monkeypatch):
+    # refused before a table is built or a kept one let go
+    before = dict(realize._tables)
+    monkeypatch.setattr(realize, "_build_masks", None)
     with pytest.raises(ValueError, match="too large"):
         oracle_is_covered((0,) * 8, ((0,) * 8,), Alphabet(8))
     with pytest.raises(ValueError, match="too large"):
         box((STAR,) * 8, Alphabet(8))
-    after = realize._cell_masks.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert realize._tables.keys() == before.keys()
+    assert all(realize._tables[key] is before[key] for key in before)
+
+
+def _kept_bytes() -> int:
+    """The bytes of every mask the oracle keeps, from the ints themselves."""
+    return sum(
+        (mask.bit_length() + 7) // 8
+        for rows, _ in realize._tables.values()
+        for row in rows
+        for mask in row
+    )
+
+
+@pytest.mark.parametrize("pairs,dim", [(1, 1), (2, 3), (3, 4), (4, 2), (1, 0)])
+def test_mask_bytes_are_the_masks_bytes(pairs, dim, monkeypatch):
+    monkeypatch.setattr(realize, "_tables", {})
+    box((0,) * dim, Alphabet(pairs))
+    assert _kept_bytes() == realize._mask_bytes(pairs, dim)
+
+
+def test_cell_cap_questions_keep_one_table_and_the_small_ones(monkeypatch):
+    """Three questions at the cell cap keep one table of at most 96 MiB of
+    masks; the six small tables asked before stay, so asking them again
+    builds nothing."""
+    monkeypatch.setattr(realize, "_tables", {})
+    small = [(Alphabet(k), d) for d in (2, 3, 4) for k in (2, 3)]
+    for alphabet, dim in small:
+        assert not oracle_is_covered((0,) * dim, ((1,) + (0,) * (dim - 1),), alphabet)
+    for pairs, dim in ((3, 8), (2, 12), (4, 6)):
+        w = (0,) * dim
+        assert oracle_is_covered(w, (w, (1,) + w[1:]), Alphabet(pairs))
+        assert _kept_bytes() <= 96 << 20
+        assert list(realize._tables)[-1] == (Alphabet(pairs), dim)
+    assert list(realize._tables) == small + [(Alphabet(4), 6)]
+    monkeypatch.setattr(realize, "_build_masks", None)
+    for alphabet, dim in small:
+        assert oracle_is_covered((0,) * dim, ((0,) * dim,), alphabet)
 
 
 @given(word_pairs())
