@@ -13,6 +13,7 @@ a code exactly when its accumulated weight reaches ``2**d``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .alphabet import MAX_DIM, STAR, Alphabet, letter_name
@@ -51,13 +52,12 @@ def is_dichotomous(v: Word, w: Word) -> bool:
 # bitmask kernel: unchecked, over a list of proper words of one dimension;
 # bit ``j`` of a mask stands for ``words[j]`` -------------------------------
 
-def _letter_masks(words: Sequence[Word], size: int = 0) -> list[list[int]]:
-    """Per position and letter (the first ``size`` letters and both letters
-    of every pair in use), the mask of the words with that letter there:
-    the position's letters, last word first, as a binary numeral with "1"
-    where the letter stands."""
+def _letter_masks(words: Sequence[Word]) -> list[list[int]]:
+    """Per position and letter (both letters of every pair in use), the
+    mask of the words with that letter there: the position's letters, last
+    word first, as a binary numeral with "1" where the letter stands."""
     columns = [bytes(c) for c in zip(*reversed(words))]
-    letters = bytes(range(max((max(map(max, columns), default=0) | 1) + 1, size)))
+    letters = bytes(range((max(map(max, columns), default=0) | 1) + 1))
     digits = [
         bytes.maketrans(letters, bytes(49 if t == s else 48 for t in letters))
         for s in letters
@@ -75,12 +75,7 @@ def _dichotomy_row(masks: list[list[int]], v: Word) -> int:
 
 # packed words: a word is its mixed-radix number over the alphabet's
 # letters, position 0 most significant, so sorting packed words keeps lex
-# order and a code packs to a sorted tuple of ints ------------------------
-
-def place_values(alphabet: Alphabet, dim: int) -> list[int]:
-    """Per position, what one unit of its letter adds to a packed word."""
-    return [alphabet.size ** (dim - 1 - i) for i in range(dim)]
-
+# order ------------------------------------------------------------------
 
 def pack_word(v: Word, alphabet: Alphabet) -> int:
     radix = alphabet.size
@@ -94,12 +89,6 @@ def pack_word(v: Word, alphabet: Alphabet) -> int:
     return n
 
 
-def pack_code(code: Iterable[Word], alphabet: Alphabet) -> tuple[int, ...]:
-    """The packed words in sorted order; the words must share a dimension,
-    or their numbers would collide."""
-    return tuple(sorted(pack_word(v, alphabet) for v in code))
-
-
 class _DigitSum(dict):
     """Packed word -> ``start + lookups[0][last digit] + ...``, least
     significant digit first, each lookup holding one entry per value of
@@ -107,26 +96,20 @@ class _DigitSum(dict):
     whole word space.  With int lookups it is a packed image of words;
     with one-letter tuples it unpacks."""
 
+    __slots__ = ("lookups", "start")
+
     def __init__(self, lookups: list[tuple], start) -> None:
         super().__init__()
-        self.lookups = lookups
+        self.lookups = [(len(lookup), lookup) for lookup in lookups]
         self.start = start
 
     def __missing__(self, n: int):
         value, rest = self.start, n
-        for lookup in self.lookups:
-            rest, digit = divmod(rest, len(lookup))
-            value = lookup[digit] + value
+        for radix, lookup in self.lookups:
+            value = lookup[rest % radix] + value
+            rest //= radix
         self[n] = value
         return value
-
-
-def word_table(alphabet: Alphabet, dim: int) -> _DigitSum:
-    """Packed word -> word, for words of ``dim`` letters.  Each word is
-    built once, so the codes unpacked through one table share their
-    words."""
-    letters = tuple((s,) for s in alphabet.letters())
-    return _DigitSum([letters] * dim, ())
 
 
 # Flip searches and random codes hold a code as a bit per word, and refuse
@@ -152,21 +135,23 @@ class _WordIndex(dict):
 
 
 class _Packing:
-    """Codes of one dimension as one int each, over the letters
-    ``letters[i]`` at each position ``i`` (by default every letter of the
-    alphabet): a word packs to its mixed-radix number over each position's
-    sorted letters, position 0 most significant, and packed word ``w`` is
-    bit ``top - w``.  Between codes of one size a larger int is a
-    lex-smaller code.  At a position of radix ``r`` and place value ``p``,
-    the word at bit ``b`` has the digit ``r - 1`` less ``b``'s digit, so
-    each digit's mask is a run of ``p`` bits with period ``r * p``.
-    ``digits[i]`` lists position ``i``'s letters by digit, ``letters[i]``
-    holds the mask of each digit, and ``values[i]`` what each letter adds
-    to a packed word; over every letter a letter is its own digit.
+    """The one numbering of words: ``dim``-letter words over the letters
+    ``digits[i]`` at each position ``i`` (by default every letter of the
+    alphabet).  A word packs to its mixed-radix number over each
+    position's sorted letters, position 0 most significant, so packed
+    words keep lex order; ``places[i]`` is what one digit at position ``i``
+    adds, and ``values[i]`` what each of its letters adds.  ``index`` maps
+    each word met, as a tuple, to its packed word, checking it by
+    ``pack_word`` once, and ``words`` maps packed words back; both hold
+    only the words met, so a packing over a huge space costs nothing until
+    it is used.  ``image`` gives the packed images under an isomorphism.
 
-    ``index`` mirrors ``words``: it maps each word met, as a tuple, to its
-    packed word, so a code packs by one dict hit a word and each word is
-    checked by ``pack_word`` once."""
+    A code is one int, packed word ``w`` at bit ``top - w``: between codes
+    of one size a larger int is a lex-smaller code.  ``letters[i]``, built
+    on first read, holds the mask of each digit at position ``i``: at
+    radix ``r`` and place value ``p``, the word at bit ``b`` has the digit
+    ``r - 1`` less ``b``'s digit, so each digit's mask is a run of ``p``
+    bits with period ``r * p``."""
 
     def __init__(
         self, alphabet: Alphabet, dim: int, letters: Iterable[Iterable[int]] | None = None
@@ -174,21 +159,37 @@ class _Packing:
         if letters is None:
             letters = [alphabet.letters()] * dim
         self.digits = [tuple(sorted(at)) for at in letters]
-        places, size = [], 1
+        self.places, size = [], 1
         for at in reversed(self.digits):
-            places.append(size)
+            self.places.append(size)
             size *= len(at)
-        places.reverse()
-        self.alphabet, self.radix, self.top = alphabet, alphabet.size, size - 1
-        self.values = [{s: d * p for d, s in enumerate(at)} for at, p in zip(self.digits, places)]
+        self.places.reverse()
+        self.alphabet, self.dim, self.radix, self.top = alphabet, dim, alphabet.size, size - 1
+        self.values = [
+            {s: d * p for d, s in enumerate(at)} for at, p in zip(self.digits, self.places)
+        ]
         self.words = _DigitSum([tuple((s,) for s in at) for at in reversed(self.digits)], ())
         self.index = _WordIndex(alphabet, self.values)
-        self.letters = []  # per position, a mask per digit
-        for at, place in zip(self.digits, places):
+
+    @cached_property
+    def letters(self) -> list[list[int]]:
+        size, masks = self.top + 1, []
+        for at, place in zip(self.digits, self.places):
             radix, run = len(at), 0
             if size:
                 run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << radix * place) - 1)
-            self.letters.append([run << (radix - 1 - d) * place for d in range(radix)])
+            masks.append([run << (radix - 1 - d) * place for d in range(radix)])
+        return masks
+
+    def image(self, sigma: Sequence[int], maps: Sequence[Sequence[int]]) -> _DigitSum:
+        """Packed word -> packed image under the isomorphism ``out[i] =
+        maps[i][word[sigma[i]]]``, which must carry the letters of
+        position ``sigma[i]`` onto letters of position ``i``."""
+        lookups = []
+        for j in reversed(range(self.dim)):
+            i = sigma.index(j)
+            lookups.append(tuple(self.values[i][maps[i][s]] for s in self.digits[j]))
+        return _DigitSum(lookups, 0)
 
     def pack(self, code: Iterable[Word]) -> int:
         index, top = self.index, self.top

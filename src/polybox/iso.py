@@ -4,36 +4,38 @@ letter bijections that respect complementation.
 ``Group(alphabet, dim, word)`` is the group of isomorphisms fixing a word
 (all of them without one), built from the word as ``S_d`` over the
 per-position letter-map groups.  Canonical forms are exact lexicographic
-orbit minima, found by one of two walks:
+orbit minima, found by one of two walks.  Both number words through one
+``core._Packing`` per letter set, spanning only the letters the codes
+use: each element carries each of the group's letter classes (the fixed
+word's letter at a position, its complement, the free letters; without a
+word, every letter) onto itself, so the words over the classes the codes
+touch hold every image.  Covers of a word never hold its complements, so
+the census of covers of ``bbbbb`` over two pairs packs 3**5 words, not
+4**5.  The packing keeps lex order, so the packed orbit minimum is the
+canonical form.
 
 * the element walk visits each group element once, each from the one
   before by one step planned from the group's layout
   (``Group._walk_steps``): ``order`` images per orbit.  A code is one int
-  in ``core._Packing``'s layout, a bit per word, where a larger int is a
-  lex-smaller code, so the orbit minimum is the largest image.  The
-  packing spans only the letters the codes use: each element carries
-  each of the group's letter classes (the fixed word's letter at a
-  position, its complement, the free letters; without a word, every
-  letter) onto itself, so the words over the classes the codes touch
-  hold every image.  Covers of a word never hold its complements, so the
-  census of covers of ``bbbbb`` over two pairs packs 3**5 words, not
-  4**5.  A step permutes bits by masked shifts (Knuth, TAOCP 4A, 7.1.3)
-  in one expression, ``code & fixed | (code & up) << rise | (code & down)
-  >> fall``: it keeps some bits and moves one block up and one down,
-  which is all that most steps move; the few others, such as position
-  swaps, move their further blocks in a loop;
+  in the packing, a bit per word, where a larger int is a lex-smaller
+  code, so the orbit minimum is the largest image.  A step permutes bits
+  by masked shifts (Knuth, TAOCP 4A, 7.1.3) in one expression, ``code &
+  fixed | (code & up) << rise | (code & down) >> fall``: it keeps some
+  bits and moves one block up and one down, which is all that most steps
+  move; the few others, such as position swaps, move their further
+  blocks in a loop;
 * the orbit walk goes breadth-first over the orbit and applies every
   generator to every orbit code: ``|generators|`` images per orbit code, so
   its cost scales with the orbit, not with the (possibly huge) group order.
-  A code is a sorted tuple of packed words (``core.pack_code``: a word is
-  its mixed-radix number over the alphabet's letters, so lex order is
-  kept), and a generator a table from packed word to packed image, filled
-  as the walk meets words.
+  A code is a sorted tuple of packed words, and a generator a table from
+  packed word to packed image (``_Packing.image``), filled as the walk
+  meets words.
 
 Groups of up to ``ELEMENT_WALK_MAX_ORDER`` elements take the element walk,
 the rest the orbit walk; both give the same orbit.  The element walk's word
 spaces are small (at most 1,024 words, two pairs at d=5); the orbit walk's
-can be far too large for a bit per word (6**8 words at three pairs, d=8).
+can be far too large for a bit per word (5**8 words for covers of
+``b...b`` over three pairs at d=8).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .alphabet import STAR, Alphabet, letter_name
-from .core import Code, Word, _DigitSum, _Packing, pack_code, pack_word, place_values, word_table
+from .core import Code, Word, _Packing, pack_word
 
 # The element walk plans its steps once per group and letter set (0.3-0.6
 # ms at the 3,840 elements of the two-pair stabilizer of bbbbb), then makes
@@ -111,17 +113,17 @@ class Group:
     position permutation so extends to an element, and ``order`` is
     ``d! * prod |N_i|``.
 
-    A group of at most ``ELEMENT_WALK_MAX_ORDER`` elements is walked element
-    by element over one-int codes.  Each call packs its codes over the
-    letters of the letter classes their words touch (``_check``); the
-    group keeps one packing, and the bit steps planned over it, per letter
-    set it has walked, with one plan of the walk for them all.  Others,
-    such as the three-pair d=5 word stabilizer (3,932,160 elements), are
-    walked breadth-first over the orbit with the swaps and the factors as
-    generators; their tables, one per generator, and the table that
-    unpacks words are kept too, but hold only the words met, never the
-    whole word space.  Codes with a repeated word are refused, since one
-    int per code would merge the repeat.
+    Each call packs its codes over the letters of the letter classes their
+    words touch (``_check``), and the group keeps one packing per letter
+    set it has walked.  A group of at most ``ELEMENT_WALK_MAX_ORDER``
+    elements is walked element by element over one-int codes, with the bit
+    steps planned over each packing, from one plan of the walk for them
+    all.  Others, such as the three-pair d=5 word stabilizer (3,932,160
+    elements), are walked breadth-first over the orbit with the swaps and
+    the factors as generators; their tables, one per generator and letter
+    set, hold only the words met, never the whole word space.  Codes with
+    a repeated word are refused, since one int per code would merge the
+    repeat.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, word: Word | None = None) -> None:
@@ -157,11 +159,11 @@ class Group:
                 [1 if s == w else 2 if s == w ^ 1 else 4 for s in alphabet.letters()] for w in word
             ]
         self._every = sum({c for at in self._classes for c in at})
-        self._tables: list[_DigitSum] | None = None
-        self._words: _DigitSum | None = None
         self._plan: tuple[list[GroupElement], list[int]] | None = None
-        self._packings: dict[int, _Packing] = {}
-        self._steps: dict[int, list[tuple[int, int, int, int, int, tuple]]] = {}
+        self._packings: dict[int, _Packing] = {}  # per letter set
+        # per packing: the element walk's bit steps, the orbit walk's tables
+        self._steps: dict[_Packing, list[tuple[int, int, int, int, int, tuple]]] = {}
+        self._tables: dict[_Packing, list[dict[int, int]]] = {}
 
     def elements(self) -> Iterator[GroupElement]:
         """Every element, each position permutation with every choice of
@@ -181,7 +183,7 @@ class Group:
         packed = self._pack(code, classes)
         if self._walks_elements():
             return self._unpack(set(_bit_walk(packed, self._walk_steps(classes))), classes)
-        return self._unpack(self._orbit_walk(packed), classes)
+        return self._unpack(self._orbit_walk(packed, classes), classes)
 
     def _walks_elements(self) -> bool:
         return self.order <= ELEMENT_WALK_MAX_ORDER
@@ -212,19 +214,19 @@ class Group:
         return classes
 
     def _pack(self, code: Code, classes: int | None = None) -> int | tuple[int, ...]:
-        """The checked code as its walk takes it: one int over the letters
-        of ``classes`` (all of them by default) for the element walk, a
-        sorted tuple of packed words for the orbit walk."""
+        """The checked code as its walk takes it, over the packing of
+        ``classes`` (all of them by default): one int for the element walk,
+        a sorted tuple of packed words for the orbit walk."""
+        packing = self._packing(classes)
         if self._walks_elements():
-            return self._packing(classes).pack(code)
-        return pack_code(code, self.alphabet)
+            return packing.pack(code)
+        return tuple(sorted(map(packing.index.__getitem__, code)))
 
     def _unpack(self, images: Iterable, classes: int | None = None) -> frozenset[Code]:
+        packing = self._packing(classes)
         if self._walks_elements():
-            return frozenset(map(self._packing(classes).unpack, images))
-        if self._words is None:
-            self._words = word_table(self.alphabet, self.dim)
-        words = self._words
+            return frozenset(map(packing.unpack, images))
+        words = packing.words
         return frozenset(tuple(map(words.__getitem__, image)) for image in images)
 
     def _least_image(
@@ -241,13 +243,13 @@ class Group:
                 if image > best:
                     best = image
             return best
-        orbit = self._orbit_walk(packed)
+        orbit = self._orbit_walk(packed, classes)
         pending.difference_update(orbit)
         return min(orbit)
 
     def _packing(self, classes: int | None = None) -> _Packing:
-        """The element walk's packing over the letters of ``classes``, all
-        of them by default, built once per letter set."""
+        """The packing over the letters of ``classes``, all of them by
+        default, built once per letter set."""
         if classes is None:
             classes = self._every
         packing = self._packings.get(classes)
@@ -256,24 +258,21 @@ class Group:
             packing = self._packings[classes] = _Packing(self.alphabet, self.dim, letters)
         return packing
 
-    def _walk_tables(self) -> list[_DigitSum]:
-        """One table per generator from packed word to packed image."""
-        if self._tables is None:
-            self._tables = [self._table(g) for g in self.generators]
-        return self._tables
+    def _walk_tables(self, classes: int | None = None) -> list[dict[int, int]]:
+        """One table per generator from packed word to packed image over
+        the packing of ``classes`` (all of them by default), built once
+        per letter set."""
+        packing = self._packing(classes)
+        tables = self._tables.get(packing)
+        if tables is None:
+            tables = self._tables[packing] = [
+                packing.image(g.sigma, g.maps) for g in self.generators
+            ]
+        return tables
 
-    def _table(self, g: GroupElement) -> _DigitSum:
-        places = place_values(self.alphabet, self.dim)
-        # source position j lands at position i with sigma[i] == j
-        lookups = []
-        for j in reversed(range(self.dim)):
-            i = g.sigma.index(j)
-            lookups.append(tuple(s * places[i] for s in g.maps[i]))
-        return _DigitSum(lookups, 0)
-
-    def _orbit_walk(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
+    def _orbit_walk(self, code: tuple, classes: int | None = None) -> set[tuple]:
         """Breadth-first over the orbit: every generator on every image."""
-        tables = self._walk_tables()
+        tables = self._walk_tables(classes)
         seen = {code}
         queue = [code]
         for state in queue:
@@ -319,14 +318,12 @@ class Group:
         (all of them by default), one per distinct element, built when the
         group first walks codes over that letter set and kept for its
         life."""
-        if classes is None:
-            classes = self._every
-        steps = self._steps.get(classes)
+        packing = self._packing(classes)
+        steps = self._steps.get(packing)
         if steps is None:
             elements, walk = self._walk_plan()
-            packing = self._packing(classes)
             built = [self._bit_step(g, packing) for g in elements]
-            steps = self._steps[classes] = [built[k] for k in walk]
+            steps = self._steps[packing] = [built[k] for k in walk]
         return steps
 
     def _bit_step(self, g: GroupElement, packing: _Packing) -> tuple:

@@ -29,6 +29,7 @@ from .core import (
     STATE_BITS_CAP,
     Code,
     Word,
+    are_equivalent,
     format_plain,
     is_covered,
     is_cube_tiling_code,
@@ -36,9 +37,7 @@ from .core import (
     make_code,
     overlap_weight,
     _Packing,
-    pack_word,
     pairs_at,
-    place_values,
     twin_pair_direction,
 )
 
@@ -132,7 +131,7 @@ STATE_MEMORY_CAP = 2 << 30
 class _FlipPacking(_Packing):
     """A ``core._Packing`` with what flips need.  Flips keep a code's
     size, so a larger state int is a lex-smaller code.  At a position of
-    place value ``p``, the twin of a word with an unprimed letter is the
+    place value ``p`` (``places``), the twin of a word with an unprimed letter is the
     word plus ``p``, ``p`` bits lower.
 
     Successors come from a pattern table built once per packing.  Per
@@ -151,14 +150,13 @@ class _FlipPacking(_Packing):
         if size > STATE_BITS_CAP:
             raise ValueError(f"flip search too large: {size:,} words (cap {STATE_BITS_CAP:,})")
         super().__init__(alphabet, dim)
-        self.dim = dim
         unprimed = alphabet.unprimed()
         # per position, (place, [(mask of s, index of s's cuts) per s]); an
         # index is position * pairs + pair, so larger ones sit at smaller places
         self.table: list[tuple[int, list[tuple[int, int]]]] = []
         self.cuts: list[list[tuple[int, int]]] = []
         self.directions = {}  # place -> position
-        for i, place in enumerate(place_values(alphabet, dim)):
+        for i, place in enumerate(self.places):
             pair = 1 | 1 << place
             rows = []
             for s in unprimed:
@@ -436,8 +434,6 @@ def is_strongly_equivalent(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Verdict:
     """Whether one code can be turned into the other by flips alone."""
-    from .core import are_equivalent
-
     if not are_equivalent(first, second):
         raise ValueError("strong equivalence is only asked of equivalent codes")
     verdict, _ = find_flip_path(first, second, alphabet, state_budget)
@@ -494,7 +490,7 @@ def extract_word(
     if len(weights) - weights.count(0) > 4:
         raise ValueError("extraction requires at most four meeting words")
     packing, start = _packed(code, alphabet)
-    target = 1 << packing.top - pack_word(word, alphabet)
+    target = packing.pack([word])
     verdict, trace = packing.search(start, lambda state: state & target, state_budget)
     if verdict != Verdict.YES:
         raise RuntimeError("extraction search failed; this is a defect")

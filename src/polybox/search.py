@@ -27,8 +27,9 @@ The workhorses:
   weight composition it grows only the covers through one word of the
   top level and maps them onto the others (McKay, "Isomorph-free
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
-  bookkeeping), keeping each image once.  It maps words over ranks
-  (``_Ranks``), one word at a time as covers meet it.
+  bookkeeping), keeping each image once.  A pool word's index is its
+  packed number in ``core._Packing``, so an element maps indices through
+  one ``_Packing.image`` table, filled as covers meet the words.
 * ``cover_code`` joins per-word cover families into covers of a code,
   drawing candidates by pigeonhole from a word index and checking them
   over word bitmasks, and ``find_second_codes`` rebuilds the partner of a
@@ -38,7 +39,6 @@ The workhorses:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,6 +108,8 @@ def standard_seeds(dim: int = 5) -> tuple[Code, ...]:
 
 @dataclass(frozen=True)
 class _Pool:
+    # word i is packed word i of ``packing``, b...b included
+    packing: _Packing
     words: tuple[Word, ...]
     level_masks: tuple[int, ...]
     dichotomous: tuple[int, ...]
@@ -119,9 +121,10 @@ class _Pool:
 
 
 def _pool_bytes(pair_count: int, dim: int) -> tuple[int, int, int, int]:
-    """Words, cells, and the bytes of the pool's tables: the two tables of
-    one bitmask row per word over the words, and the two cell tables, one
-    row per word over the cells and one per cell over the words."""
+    """Words other than ``b...b``, cells, and the bytes of the pool's
+    tables: the two tables of one bitmask row per word over the words, and
+    the two cell tables, one row per word over the cells and one per cell
+    over the words."""
     size = (2 * pair_count - 1) ** dim - 1
     ncells = 1 << ((pair_count - 1) * dim)
     row = (size + 7) // 8
@@ -129,8 +132,7 @@ def _pool_bytes(pair_count: int, dim: int) -> tuple[int, int, int, int]:
 
 
 def _cell_tables(
-    pair_count: int, dim: int, letters: list[int], words: list[Word],
-    masks: list[list[int]],
+    pair_count: int, dim: int, letters: list[int], masks: list[list[int]]
 ) -> tuple[list[int], list[int]]:
     """``cells`` and ``cell_words`` over the cells of the box of ``b...b``.
 
@@ -144,7 +146,7 @@ def _cell_tables(
     half = len(others)
     ncells = 1 << (half * dim)
     # built over the product of the letters, position 0 most significant, so
-    # the rows come in the sorted order of the words; then b...b is dropped
+    # row i is pool word i's
     cells = [(1 << ncells) - 1]
     for i in range(dim):
         takes = [0] * (2 * pair_count)
@@ -157,9 +159,8 @@ def _cell_tables(
                 width <<= 1
             takes[2 * pair], takes[2 * pair + 1] = ones, ones << run
         cells = [box & takes[s] for box in cells for s in letters]
-    del cells[bisect_left(words, (ANCHOR_LETTER,) * dim)]
     # built from the last position down, so cell ``c`` ends up at index ``c``
-    cell_words = [(1 << len(words)) - 1]
+    cell_words = [(1 << len(cells)) - 1]
     for i in reversed(range(dim)):
         takes = []
         for value in range(1 << half):
@@ -175,6 +176,10 @@ def _cell_tables(
 def _cover_pool(pair_count: int, dim: int) -> _Pool:
     """Candidate words for covers of ``b...b``: everything without the
     complement of ``b`` and not the word itself, graded by ``b``-count.
+    Pool word ``i`` is packed word ``i`` of the packing over every letter
+    but ``b'``, so the pool lists ``b...b`` too, at its own index.  Its
+    sub-box is the whole box, but it is in no level mask and no
+    compatibility row, so no search reaches it.
 
     Also splits the box of ``b...b`` into cells (``_cell_tables``): each
     word's sub-box as a cell mask, and per cell the mask of the words that
@@ -189,31 +194,28 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
             f"(cap {POOL_ROW_BYTES_CAP:,})"
         )
     letters = [s for s in range(2 * pair_count) if s != ANCHOR_LETTER ^ 1]
-    words = sorted(
-        w
-        for w in itertools.product(letters, repeat=dim)
-        if any(s != ANCHOR_LETTER for s in w)
-    )
-    index = {w: i for i, w in enumerate(words)}
-    level_masks = [0] * dim
+    packing = _Packing(Alphabet(pair_count), dim, [letters] * dim)
+    words = tuple(itertools.product(letters, repeat=dim))  # in packed order
+    # b...b is the one word of level dim
+    level_masks = [0] * (dim + 1)
     for i, w in enumerate(words):
         level_masks[w.count(ANCHOR_LETTER)] |= 1 << i
-    # rows for every letter: at d=1 over two pairs no pool word holds b
-    masks = _letter_masks(words, 2 * pair_count)
+    masks = _letter_masks(words)  # b...b puts the pair of b in use
     dichotomous = [_dichotomy_row(masks, w) for w in words]
 
-    def twins(w: Word) -> int:
-        flips = (w[:p] + (w[p] ^ 1,) + w[p + 1 :] for p in range(dim))
-        return sum(1 << index[t] for t in flips if t in index)
+    def twins(n: int, w: Word) -> int:
+        # one letter complemented, by packed arithmetic; b' is no pool letter
+        return sum(1 << n - at[s] + at[s ^ 1] for at, s in zip(packing.values, w) if s ^ 1 in at)
 
-    # a twin-free row is the dichotomy row less the word's twins (one letter
-    # complemented); twins are dichotomous, so the XOR clears exactly them
-    twin_free = [row ^ twins(w) for w, row in zip(words, dichotomous)]
+    # a twin-free row is the dichotomy row less the word's twins; twins are
+    # dichotomous, so the XOR clears exactly them
+    twin_free = [row ^ twins(n, w) for n, (w, row) in enumerate(zip(words, dichotomous))]
 
-    cells, cell_words = _cell_tables(pair_count, dim, letters, words, masks)
+    cells, cell_words = _cell_tables(pair_count, dim, letters, masks)
     return _Pool(
-        words=tuple(words),
-        level_masks=tuple(level_masks),
+        packing=packing,
+        words=words,
+        level_masks=tuple(level_masks[:dim]),
         dichotomous=tuple(dichotomous),
         twin_free=tuple(twin_free),
         cells=tuple(cells),
@@ -234,58 +236,6 @@ class _Lazy(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
-
-
-class _Image(dict):
-    """Pool index to the rank of the word's image under one element: the
-    sum of its ``entries`` in the element's rank table, filled as met."""
-
-    __slots__ = ("entries", "table")
-
-    def __init__(self, entries: _Lazy, table: list[int]) -> None:
-        self.entries, self.table = entries, table
-
-    def __missing__(self, i: int) -> int:
-        rank = self[i] = sum(self.entries[i](self.table))
-        return rank
-
-
-class _Ranks:
-    """Images of pool words under isomorphisms fixing ``b...b``, over ranks.
-
-    A word's rank is its mixed-radix number over the letters but ``b'``
-    (never a pool letter), in lex order, so pool word ``i`` has rank ``i``,
-    or ``i + 1`` from ``gap`` on: ``b...b`` has a rank but is no pool word.
-    An isomorphism acting as ``out[p] = maps[p][word[source[p]]]`` becomes
-    a rank table, and the rank of a word's image adds up one table entry
-    per position.  ``entries[i]`` picks out pool word ``i``'s entries; it is
-    filled as words are first met."""
-
-    def __init__(self, words: tuple[Word, ...], pair_count: int, dim: int) -> None:
-        anchor = (ANCHOR_LETTER,) * dim
-        width = 2 * pair_count
-        self.dim, self.width = dim, width
-        self.gap = bisect_left(words, anchor)
-        self.by_rank = words[: self.gap] + (anchor,) + words[self.gap :]
-        self.digit = [s - (s > ANCHOR_LETTER) for s in range(width)]
-        # what a letter adds to a rank, per position and letter map
-        self.places: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        # the zero closing every table makes the entries a tuple even at d=1
-        self.entries = _Lazy(lambda i: itemgetter(
-            *[j * width + s for j, s in enumerate(words[i])], dim * width
-        ))
-
-    def table(self, source: tuple[int, ...], maps: tuple[tuple[int, ...], ...]) -> list[int]:
-        """What letter ``s`` at source position ``j`` adds to the rank of the
-        image, at ``j * width + s``; then a zero."""
-        rows: list = [None] * self.dim
-        for p, (j, m) in enumerate(zip(source, maps)):
-            row = self.places.get((p, m))
-            if row is None:
-                unit = (self.width - 1) ** (self.dim - 1 - p)
-                row = self.places[p, m] = [self.digit[t] * unit for t in m]
-            rows[j] = row
-        return [*itertools.chain.from_iterable(rows), 0]
 
 
 def cover_word(
@@ -322,7 +272,7 @@ def cover_word(
     units = []
     for seed in seeds:
         (level,) = {w.count(ANCHOR_LETTER) for w in seed}
-        units.append((level, tuple(bisect_left(pool.words, w) for w in seed)))
+        units.append((level, tuple(map(pool.packing.index.__getitem__, seed))))
     found: set[frozenset[int]] = set()
 
     for ci, x in enumerate(weight_compositions(dim, size)):
@@ -501,11 +451,10 @@ def enumerate_minimal_covers(
     out exactly once: as the image of the one cover through ``w0`` that
     the element of its lowest level-``L`` word carries onto it.
 
-    Images are taken over ranks: a pool word's rank is its mixed-radix
-    number over the letters but ``b'``, in lex order, and an element adds
-    up one table entry per position.  Each element keeps a dict from pool
-    index to image rank (``_Image``), built per composition and filled as
-    covers meet the word; the verdict filter and the mapping both read it.
+    A pool index is a packed word, so each element is one
+    ``_Packing.image`` table from pool index to the image's index, built
+    per composition and filled as covers meet the word; the verdict filter
+    and the mapping both read it.
     A ``keep`` predicate filters covers as they stream out, keeping memory
     flat for large families.  It sees them in search order, not in the
     sorted order returned, so it must be a pure predicate of the cover."""
@@ -517,10 +466,8 @@ def enumerate_minimal_covers(
     if size < 2:
         raise ValueError("direct enumeration expects at least two words")
     pool = _cover_pool(alphabet.pair_count, dim)
-    words = pool.words
+    words, packing = pool.words, pool.packing
     compat = pool.twin_free if twin_free else pool.dichotomous
-    ranks = _Ranks(words, alphabet.pair_count, dim)
-    entries, gap, by_rank = ranks.entries, ranks.gap, ranks.by_rank
     out: list[Code] = []
 
     for x in weight_compositions(dim, size):
@@ -528,19 +475,18 @@ def enumerate_minimal_covers(
         level_seq = tuple(
             level for level in range(dim) for _ in range(x[level] - (level == top))
         )
-        w0 = bisect_left(words, (0,) * (dim - top) + (ANCHOR_LETTER,) * top)
+        w0 = packing.index[(0,) * (dim - top) + (ANCHOR_LETTER,) * top]
         # filled at the first cover through w0: the dead profiles need neither
-        elements: list[_Image] = []
+        elements: list[dict[int, int]] = []
         top_ids: set[int] = set()
-        verdicts: dict[frozenset[int], list[_Image]] = {}
+        verdicts: dict[frozenset[int], list[dict[int, int]]] = {}
 
         def collect(ids: frozenset[int]) -> None:
             if not elements:
                 for _, source, maps in _top_transversal(alphabet.pair_count, dim, top):
-                    image = _Image(entries, ranks.table(source, maps))
-                    rank = image[w0]
+                    image = packing.image(source, maps)
                     elements.append(image)
-                    top_ids.add(rank - (rank > gap))
+                    top_ids.add(image[w0])
             key = ids & top_ids
             chosen = verdicts.get(key)
             if chosen is None:
@@ -550,7 +496,7 @@ def enumerate_minimal_covers(
                     chosen = [image for image in chosen if image[i] > image[w0]]
                 verdicts[key] = chosen
             for image in chosen:
-                code = itemgetter(*sorted(map(image.__getitem__, ids)))(by_rank)
+                code = itemgetter(*sorted(map(image.__getitem__, ids)))(words)
                 if keep is None or keep(code):
                     out.append(code)
 

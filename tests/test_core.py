@@ -1,11 +1,14 @@
 """Core predicates: dichotomy, twin pairs, weights, covers, densities,
 binary codes and distributions; packed words."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import polybox
 from polybox.alphabet import Alphabet, STAR
 from polybox.core import (
     _Packing,
@@ -25,10 +28,8 @@ from polybox.core import (
     is_simple,
     make_code,
     overlap_weight,
-    pack_code,
     pack_word,
     twin_pair_direction,
-    word_table,
 )
 from polybox.catalog import example_pair, small_covers, special_pair
 from polybox.pbxio import parse_code, parse_word
@@ -237,34 +238,52 @@ class TestCodeValidation:
 
 
 class TestPackedWords:
+    """``_Packing`` is the one numbering of words."""
+
     def test_packing_is_lex_order_and_round_trips(self):
         alphabet = Alphabet(3)
-        words = list(itertools.product(alphabet.letters(), repeat=3))  # lex order
-        packed = [pack_word(v, alphabet) for v in words]
-        assert packed == list(range(alphabet.size**3))
-        table = word_table(alphabet, 3)
-        assert [table[n] for n in packed] == words
+        # every letter, the cover pool's (all but b'), and per position
+        for letters in (None, [[0, 1, 2, 4, 5]] * 3, [[2], [5, 0, 4], [1, 3]]):
+            packing = _Packing(alphabet, 3, letters)
+            words = list(itertools.product(*packing.digits))  # lex order
+            packed = [packing.index[v] for v in words]
+            assert packed == list(range(packing.top + 1))
+            assert [packing.words[n] for n in packed] == words
+        assert words[0] == (2, 0, 1)
 
     def test_position_zero_is_most_significant(self):
-        assert pack_word(W("ba"), Alphabet(2)) == 2 * 4 + 0
-        assert pack_word(W("ab"), Alphabet(2)) == 2
+        packing = _Packing(Alphabet(2), 2)
+        assert packing.places == [4, 1]
+        assert packing.index[W("ba")] == pack_word(W("ba"), Alphabet(2)) == 2 * 4 + 0
+        assert packing.index[W("ab")] == pack_word(W("ab"), Alphabet(2)) == 2
 
     def test_code_packs_sorted(self):
         _, second = example_pair()
-        alphabet = Alphabet(3)
-        packed = pack_code(tuple(reversed(second)), alphabet)
-        assert packed == tuple(sorted(packed))
-        assert tuple(map(word_table(alphabet, 2).__getitem__, packed)) == second
+        packing = _Packing(Alphabet(3), 2)
+        assert packing.unpack(packing.pack(reversed(second))) == second
 
     def test_letters_outside_the_alphabet_are_refused(self):
         for word in ((0, 4), (STAR, 0), (-2, 0)):
             with pytest.raises(ValueError, match="alphabet"):
                 pack_word(word, Alphabet(2))
+            with pytest.raises(ValueError, match="alphabet"):
+                _Packing(Alphabet(2), 2).index[word]
 
     def test_table_holds_only_the_words_met_and_shares_them(self):
-        table = word_table(Alphabet(8), 8)  # 16**8 words
-        n = pack_word(W("bbbbbbbb"), Alphabet(8))
-        assert table[n] is table[n] and len(table) == 1
+        packing = _Packing(Alphabet(8), 8)  # 16**8 words
+        assert packing.top + 1 == 16**8
+        n = packing.index[W("bbbbbbbb")]
+        assert packing.words[n] is packing.words[n]
+        assert len(packing.words) == len(packing.index) == 1
+        assert "letters" not in vars(packing)  # its masks are never built
+
+    def test_masks_are_built_on_first_read(self):
+        packing = _Packing(Alphabet(2), 3, [[0, 1, 2], [3], [1, 2]])
+        assert "letters" not in vars(packing)
+        for n in range(packing.top + 1):
+            word = packing.words[n]
+            for masks, at, s in zip(packing.letters, packing.digits, word):
+                assert [m >> packing.top - n & 1 for m in masks] == [t == s for t in at]
 
 
 class TestWordIndex:
@@ -302,3 +321,52 @@ class TestWordIndex:
         words = [[0, 0], [1, 0], [0, 3]]
         assert packing.pack(words) == packing.pack(map(tuple, words))
         assert all(type(v) is tuple for v in packing.index)
+
+
+# one word numbering: only core builds mixed-radix numbers ----------------
+
+NUMBERING_FREE = ("search", "iso", "moves", "sampling")
+
+
+def _numbering_faults(source: str, module: str) -> list[str]:
+    """Where a module other than ``core`` names ``_DigitSum`` (defines,
+    imports or reads it), and where one of ``NUMBERING_FREE`` computes a
+    place value: a power whose exponent is itself arithmetic, as in
+    ``size ** (dim - 1 - i)``."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if "_DigitSum" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            faults.append(f"{module}: _DigitSum")
+        elif (
+            module in NUMBERING_FREE
+            and isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.BinOp)
+        ):
+            faults.append(f"{module}: {ast.unparse(node)}")
+    return faults
+
+
+def test_only_core_numbers_words():
+    sources = sorted(Path(polybox.__file__).parent.glob("*.py"))
+    assert {path.stem for path in sources} >= {"core", *NUMBERING_FREE}
+    faults = []
+    for path in sources:
+        if path.stem != "core":
+            faults += _numbering_faults(path.read_text(), path.stem)
+    assert faults == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from .core import _DigitSum",
+        "from polybox.core import Code, _DigitSum as Sum",
+        "table = core._DigitSum([], 0)",
+        "class _DigitSum(dict): pass",
+        "unit = (width - 1) ** (dim - 1 - p)",
+        "places = [size ** (dim - 1 - i) for i in range(dim)]",
+    ],
+)
+def test_numbering_guard_catches(line):
+    assert _numbering_faults(line, "iso")

@@ -39,7 +39,7 @@ from polybox.iso import (
     word_stabilizer,
 )
 from polybox.pbxio import parse_word
-from polybox.search import cover_word, enumerate_minimal_covers
+from polybox.search import _cover_pool, _top_transversal, cover_word, enumerate_minimal_covers
 from strategies import codes, codes_over
 
 W = parse_word
@@ -530,10 +530,16 @@ class TestWalks:
             assert stab._unpack([least]) == {min(stab.orbit(code))}
 
     def test_tables_hold_only_the_words_met(self):
-        group = word_stabilizer((B,) * 8, Alphabet(3))  # 6**8 words
-        code = make_code([(B,) * 8])
+        # the code touches b and the free letters, so its packing holds
+        # 5**8 words; each generator's table holds the orbit's 32 words
+        group = word_stabilizer((B,) * 8, Alphabet(3))
+        code = make_code([(0,) + (B,) * 7])
+        classes = group._check([code])
         assert canonical_form(code, group) == code
-        assert [len(table) for table in group._walk_tables()] == [1] * len(group.generators)
+        assert len(group.orbit(code)) == 32
+        assert group._packing(classes).top + 1 == 5**8
+        tables = group._walk_tables(classes)
+        assert [len(table) for table in tables] == [32] * len(group.generators)
 
     def test_repeated_words_are_refused(self, monkeypatch):
         """A one-int code would merge a repeated word, so both walks
@@ -601,6 +607,44 @@ NARROWED = [
     (2, 3, True), (3, 2, True), (2, 4, True), (1, 3, True),
     (2, 2, False), (1, 3, False), (2, 0, True), (2, 0, False),
 ]
+
+
+class TestPackedImages:
+    """``_Packing.image`` maps packed words as ``apply_word`` maps words,
+    over every letter set a walk packs over and over the cover pool's."""
+
+    @staticmethod
+    def _check(packing, elements):
+        words = [packing.words[n] for n in range(packing.top + 1)]
+        for g in elements:
+            image = packing.image(g.sigma, g.maps)
+            assert [image[n] for n in range(len(words))] == [
+                packing.index[apply_word(g, v)] for v in words
+            ]
+
+    @pytest.mark.parametrize(
+        "pairs,dim,fixing", [(2, 3, True), (3, 2, True), (1, 3, True), (2, 3, False)]
+    )
+    def test_agrees_with_apply_word_over_every_letter_set(self, pairs, dim, fixing):
+        """Every union of the group's letter classes, on the generators
+        (the position swaps among them) and on random products of them."""
+        group = Group(Alphabet(pairs), dim, _anchor(pairs, dim) if fixing else None)
+        rng = Random(pairs * 10 + dim)
+        elements = group.generators + [_random_element(group, rng) for _ in range(12)]
+        for classes in range(1, group._every + 1):
+            if classes & group._every == classes:
+                self._check(group._packing(classes), elements)
+
+    @pytest.mark.parametrize("pairs, dim", [(2, 4), (3, 3)])
+    def test_agrees_with_apply_word_over_the_pool_letters(self, pairs, dim):
+        packing = _cover_pool(pairs, dim).packing
+        elements = [
+            GroupElement(sigma=source, maps=maps)
+            for level in range(dim)
+            for _, source, maps in _top_transversal(pairs, dim, level)[::3]
+        ]
+        assert any(g.sigma != tuple(range(dim)) for g in elements)
+        self._check(packing, elements)
 
 
 class TestNarrowedPackings:

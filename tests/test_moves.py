@@ -20,6 +20,7 @@ from polybox.core import (
     is_simple,
     make_code,
     overlap_weight,
+    pairs_at,
     twin_pair_direction,
 )
 from polybox.catalog import (
@@ -31,9 +32,12 @@ from polybox.catalog import (
 )
 from polybox.moves import (
     DEFAULT_STATE_BUDGET,
+    MAX_MERGES,
     STATE_MEMORY_CAP,
     FlipMove,
+    SimplifyResult,
     Verdict,
+    _lift_move,
     _merge_layer_moves,
     _packing,
     apply_flip,
@@ -501,6 +505,11 @@ def cell_tiling_code(alphabet: Alphabet, dim: int, rng: Random) -> tuple:
     return make_code(chosen)
 
 
+def _square_tilings():
+    words = list(itertools.product(Alphabet(2).letters(), repeat=2))
+    return [c for c in itertools.combinations(words, 4) if is_polybox_code(c)]
+
+
 class TestLayers:
     def test_layer_extraction(self):
         _, second = example_pair()  # {cc, c'c, bc', b'c'}
@@ -530,15 +539,8 @@ class TestLayers:
         assert replay(second, result.trace) == result.code
 
     def test_every_two_pair_square_tiling_simplifies(self):
-        import itertools
-
         alphabet = Alphabet(2)
-        words = list(itertools.product(alphabet.letters(), repeat=2))
-        census = [
-            tuple(sorted(combo))
-            for combo in itertools.combinations(words, 4)
-            if is_polybox_code(combo)
-        ]
+        census = _square_tilings()
         assert len(census) == 12
         for code in census:
             result = simplify_tiling(code, alphabet)
@@ -574,6 +576,56 @@ class TestLayers:
             assert result.verdict == Verdict.YES
             assert is_simple(result.code)
             assert replay(code, result.trace) == result.code
+
+
+def largest_pair_first(code, alphabet, state_budget=DEFAULT_STATE_BUDGET):
+    """Slow twin of ``simplify_tiling``: the schedule it replaced.  At the
+    position with the most letter pairs (ties to the lowest position), the
+    largest pair's unprimed layer is flipped onto its primed one and merged
+    onto the next largest pair."""
+    state = make_code(code)
+    trace = []
+    for _ in range(MAX_MERGES):
+        if is_simple(state):
+            return SimplifyResult(Verdict.YES, state, tuple(trace))
+        position = max(range(len(state[0])), key=lambda i: (len(pairs_at(state, i)), -i))
+        pairs = sorted(pairs_at(state, position))
+        source, target = 2 * pairs[-1], 2 * pairs[-2]
+        upper = layer(state, position, source)
+        lower = layer(state, position, source ^ 1)
+        verdict, path = find_flip_path(upper, lower, alphabet, state_budget)
+        if verdict != Verdict.YES:
+            return SimplifyResult(Verdict.EXCEEDED, None, tuple(trace))
+        for move in path:
+            lifted = _lift_move(move, position, source)
+            state = apply_flip(state, lifted)
+            trace.append(lifted)
+        for move in _merge_layer_moves(state, position, source, target):
+            state = apply_flip(state, move)
+            trace.append(move)
+    return SimplifyResult(Verdict.EXCEEDED, None, tuple(trace))
+
+
+class TestScheduleAgainstSlowTwin:
+    def test_both_schedules_simplify_with_replayable_traces(self):
+        """The 12 d=2 two-pair tilings and seeded d=3 and d=4 tilings over
+        two and three pairs; the schedules take different paths."""
+        rng = Random(12)
+        cases = [(Alphabet(2), code) for code in _square_tilings()]
+        for dim, pairs in ((3, 2), (3, 3), (4, 2), (4, 3)):
+            alphabet = Alphabet(pairs)
+            cases += [(alphabet, random_tiling_code(alphabet, dim, rng)) for _ in range(3)]
+        differ = 0
+        for alphabet, code in cases:
+            traces = []
+            for schedule in (simplify_tiling, largest_pair_first):
+                result = schedule(code, alphabet)
+                assert result.verdict == Verdict.YES, (schedule.__name__, code)
+                assert is_simple(result.code)
+                assert replay(code, result.trace) == result.code
+                traces.append(result.trace)
+            differ += traces[0] != traces[1]
+        assert len(cases) == 24 and differ
 
 
 class TestFixedComponent:

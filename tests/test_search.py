@@ -163,6 +163,24 @@ class TestCoverPoolCap:
             enumerate_minimal_covers(W("bb"), 4, Alphabet(1))
 
 
+class TestPoolNumbering:
+    @pytest.mark.parametrize("pairs, dim", [(2, 5), (3, 4), (3, 5)])
+    def test_pool_index_is_the_packed_word(self, pairs, dim):
+        """Pool word ``n`` is packed word ``n``; ``b...b`` has its own index
+        but is in no level mask and no compatibility row, and its sub-box
+        is the whole box."""
+        pool = _cover_pool(pairs, dim)
+        index = pool.packing.index
+        assert all(index[w] == n for n, w in enumerate(pool.words))
+        assert len(pool.words) == pool.packing.top + 1
+        anchor = index[(ANCHOR_LETTER,) * dim]
+        assert pool.words[anchor] == (ANCHOR_LETTER,) * dim
+        assert not any(mask >> anchor & 1 for mask in pool.level_masks)
+        assert pool.dichotomous[anchor] == pool.twin_free[anchor] == 0
+        assert not any(row >> anchor & 1 for row in pool.dichotomous + pool.twin_free)
+        assert pool.cells[anchor] == (1 << len(pool.cell_words)) - 1
+
+
 class TestEnumerateMinimalCovers:
     def test_small_cover_census_d2(self):
         alphabet = Alphabet(3)
