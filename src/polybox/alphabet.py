@@ -68,7 +68,12 @@ class Alphabet:
         return range(0, 2 * self.pair_count, 2)
 
     def __contains__(self, letter: object) -> bool:
-        return isinstance(letter, int) and 0 <= letter < 2 * self.pair_count
+        return self.spells((letter,))
+
+    def spells(self, word: Iterable[object]) -> bool:
+        """Whether every letter of ``word`` is an int from 0 to ``size - 1``."""
+        size = 2 * self.pair_count
+        return all(isinstance(s, int) and 0 <= s < size for s in word)
 
 
 def inferred_alphabet(words: Iterable[tuple[int, ...]]) -> Alphabet:

@@ -286,7 +286,7 @@ def make_code(words: Iterable[Word], alphabet: Alphabet | None = None) -> Code:
         raise ValueError(f"dimension {len(out[0])} above the cap of {MAX_DIM}")
     for v in out:
         _require_proper(v)
-        if alphabet is not None and any(s not in alphabet for s in v):
+        if alphabet is not None and not alphabet.spells(v):
             raise ValueError(f"letter outside alphabet in {format_plain(v)}")
     for prev, cur in zip(out, out[1:]):
         if prev == cur:

@@ -8,13 +8,14 @@ glue direction, and every cut inherits that.
 Flip reachability is explored by breadth-first search over whole codes
 with an explicit state budget; exhaustion of the budget is reported, never
 guessed away.  A search state is one int, a bit per word of the space
-(``core._Packing``): the twin pairs at a position are one shift and two masks
-away, and each successor is the state xor one four-bit pattern from a table
-built once per word space, shifted to the pair.  Each code is checked once
-on entry, by ``make_code``, and words and moves are built only for what is
-read: a trace's moves are read back from the four bits each flip toggles,
-and a closure keeps its states packed, decoding them to codes on first
-read.
+(``core._Packing``).  One kernel, ``_FlipPacking``, makes every successor:
+the words with a twin at a position are one shift and one AND away, split
+by letter with a mask each, and a successor is the state xor a four-bit
+pattern from a table built once per word space, shifted to the pair.  It
+is hashed once, against a closure's visited set or by a search's
+``setdefault``.  Each code is checked once on entry, by ``make_code``; a
+trace's moves are read back from one XOR of each state and its parent, and
+a closure keeps its states packed, decoding them to codes on first read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .alphabet import STAR, Alphabet
 from .core import (
@@ -139,7 +140,8 @@ class _FlipPacking(_Packing):
     ``s`` there, and per other unprimed letter ``t`` one ``(offset,
     pattern)`` whose four bits are a twin pair and its cut along ``t``: the
     flip of the pair whose unprimed word is at bit ``b`` is ``state ^
-    pattern << b - offset``.
+    pattern << b - offset``.  ``successors`` and ``ordered_successors`` are
+    the only twin-pair loops, for closures and for searches.
 
     It checks no code: ``_packed`` hands it codes that ``make_code`` has
     checked.  Only ``meeting`` reads a word from outside, and it guards
@@ -155,7 +157,7 @@ class _FlipPacking(_Packing):
         # index is position * pairs + pair, so larger ones sit at smaller places
         self.table: list[tuple[int, list[tuple[int, int]]]] = []
         self.cuts: list[list[tuple[int, int]]] = []
-        self.directions = {}  # place -> position
+        self.directions = {}  # |u - v| of a flip's unprimed words -> position
         for i, place in enumerate(self.places):
             pair = 1 | 1 << place
             rows = []
@@ -169,7 +171,7 @@ class _FlipPacking(_Packing):
                     if t != s
                 ])
             self.table.append((place, rows))
-            self.directions[place] = i
+            self.directions.update((t * place, i) for t in unprimed if t)
         self.index_bits = len(self.cuts).bit_length()
 
     def check_memory(self, state_budget: int) -> None:
@@ -193,8 +195,8 @@ class _FlipPacking(_Packing):
             apart |= masks[s ^ 1] if s ^ 1 < self.radix else 0
         return (2 << self.top) - 1 ^ apart
 
-    def successors(self, state: int) -> list[int]:
-        """Every state one flip away, in no particular order."""
+    def successors(self, state: int, seen: Container[int] = ()) -> list[int]:
+        """Every state one flip away and not in ``seen``, in no order."""
         cuts, out = self.cuts, []
         append = out.append
         for place, rows in self.table:
@@ -207,7 +209,8 @@ class _FlipPacking(_Packing):
                     b = twins.bit_length() - 1
                     twins ^= 1 << b
                     for offset, pattern in cuts[index]:
-                        append(state ^ pattern << b - offset)
+                        if (successor := state ^ pattern << b - offset) not in seen:
+                            append(successor)
         return out
 
     def ordered_successors(self, state: int) -> Iterator[int]:
@@ -235,36 +238,40 @@ class _FlipPacking(_Packing):
     def search(
         self, start: int, found: Callable[[int], object], state_budget: int
     ) -> tuple[Verdict, Optional[tuple[FlipMove, ...]]]:
-        """Breadth-first from ``start`` to the first state ``found`` likes."""
+        """Breadth-first from ``start`` to the first state ``found`` likes;
+        each successor is hashed once, by the ``setdefault`` that keeps it."""
         _check_budget(state_budget)
         self.check_memory(state_budget)
         if found(start):
             return Verdict.YES, ()
         parents: dict[int, Optional[int]] = {start: None}
+        keep, kept = parents.setdefault, 1
         queue = [start]
         for current in queue:
             for successor in self.ordered_successors(current):
-                if successor in parents:
+                keep(successor, current)
+                if len(parents) == kept:
                     continue
-                if len(parents) >= state_budget:
+                if kept >= state_budget:
                     return Verdict.EXCEEDED, None
-                parents[successor] = current
+                kept += 1
                 if found(successor):
                     return Verdict.YES, self._trace(parents, successor)
                 queue.append(successor)
         return Verdict.NO, None
 
     def _trace(self, parents: dict[int, Optional[int]], state: int) -> tuple[FlipMove, ...]:
-        """Each move from the four bits a flip toggles: the pair it removes
-        is ``v``, ``w`` and the direction, the unprimed word it adds has
-        ``t`` there."""
+        """Each move from one XOR of a state and its parent: the unprimed
+        words of the pair removed, ``v``, and of the pair added, ``u``,
+        differ at the direction only, where ``u`` has ``t``."""
         words, top, trace = self.words, self.top, []
         while (parent := parents[state]) is not None:
-            removed, added = parent & ~state, state & ~parent
+            diff = parent ^ state
+            removed = diff & parent
             v = top - removed.bit_length() + 1
-            w = top - (removed & -removed).bit_length() + 1
-            i = self.directions[w - v]
-            t = words[top - added.bit_length() + 1][i]
+            u = top - (diff ^ removed).bit_length() + 1
+            i = self.directions[abs(u - v)]
+            t, w = words[u][i], v + self.places[i]
             trace.append(FlipMove(pair=(words[v], words[w]), direction=i, letters=(t, t ^ 1)))
             state = parent
         return tuple(reversed(trace))
@@ -378,7 +385,7 @@ def closure(
             levels.append(len(queue) - index)
             level_end = len(queue)
         # the flips of a code give distinct codes
-        successors = [s for s in packing.successors(current) if s not in visited]
+        successors = packing.successors(current, visited)
         successors.sort(reverse=True)  # by code, ascending
         if len(visited) + len(successors) > state_budget:
             queue.extend(successors[: state_budget - len(visited)])

@@ -5,6 +5,7 @@ import ast
 import itertools
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 
@@ -21,6 +22,7 @@ from polybox.core import (
     density,
     distribution,
     flat_witness,
+    format_plain,
     is_covered,
     is_cube_tiling_code,
     is_dichotomous,
@@ -207,6 +209,20 @@ class TestDistributions:
         assert flat_witness(make_code([W("ab"), W("a'b'")])) is None
 
 
+class _Letter(int):
+    pass
+
+
+def _outside_message(word):
+    """(error type, message) of ``make_code``'s refusal of a word with a
+    letter outside the alphabet.  The message names the word; a float
+    letter has no name, so the naming's TypeError comes out instead."""
+    try:
+        return ValueError, f"letter outside alphabet in {format_plain(word)}"
+    except TypeError as error:
+        return TypeError, str(error)
+
+
 class TestCodeValidation:
     def test_duplicate_raises(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -222,6 +238,31 @@ class TestCodeValidation:
     def test_joker_rejected(self):
         with pytest.raises(ValueError, match="proper"):
             make_code([(0, STAR)])
+
+    # (letter, taken): ``in`` takes ints and int subclasses, bools among
+    # them, from 0 to 2k - 1, and nothing else
+    LETTERS = {
+        "bool": (True, True),
+        "float": (1.0, False),
+        "int subclass": (_Letter(1), True),
+        "numpy int": (numpy.int64(1), False),
+        "2k": (4, False),
+    }
+
+    @pytest.mark.parametrize("case", LETTERS)
+    def test_alphabet_check_is_letter_membership(self, case):
+        """``make_code`` takes exactly the letters ``in`` takes, and refuses
+        the others with the message it has always given."""
+        letter, taken = self.LETTERS[case]
+        alphabet, code = Alphabet(2), [(1, 0), (0, letter)]
+        assert (letter in alphabet) == alphabet.spells((0, letter)) == taken
+        if taken:
+            assert make_code(code, alphabet) == ((0, letter), (1, 0))
+            return
+        kind, message = _outside_message((0, letter))
+        with pytest.raises(kind) as refused:
+            make_code(code, alphabet)
+        assert str(refused.value) == message
 
     def test_is_polybox_code(self):
         assert is_polybox_code([W("aa"), W("aa'")])

@@ -1,15 +1,18 @@
 """The flip calculus: glue/cut round trips, flip invariants, closures,
 lock tests, extraction and layer simplification."""
 
+import ast
 import dataclasses
 import itertools
 from collections import deque
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybox
 from polybox.alphabet import Alphabet, STAR
 from polybox.core import (
     _Packing,
@@ -39,6 +42,7 @@ from polybox.moves import (
     Verdict,
     _lift_move,
     _merge_layer_moves,
+    _packed,
     _packing,
     apply_flip,
     closure,
@@ -389,6 +393,23 @@ class TestStrongEquivalence:
         assert find_flip_path(first, unreachable, Alphabet(3), size - 1) == (
             Verdict.EXCEEDED, None
         )
+
+    @pytest.mark.parametrize("steps", [1, 3, None])
+    def test_budget_equal_to_the_goal_s_place_is_enough(self, steps):
+        """A goal first kept as the N-th state is found at budget N and
+        exceeds budget N - 1; the slow twin counts N as the states it
+        tests, the start first.  The goals end seeded walks from the start,
+        or are its partner (``steps`` None)."""
+        alphabet, (start, goal) = Alphabet(3), example_pair()
+        if steps is not None:
+            goal = _walked(start, alphabet, Random(steps), steps)
+        kept = []
+        slow_find_flip_path(start, None, alphabet, accept=lambda s: kept.append(s) or s == goal)
+        n = len(kept)
+        assert kept[-1] == goal and n > 2
+        verdict, trace = find_flip_path(start, goal, alphabet, n)
+        assert verdict == Verdict.YES and replay(start, trace) == goal
+        assert find_flip_path(start, goal, alphabet, n - 1) == (Verdict.EXCEEDED, None)
 
     def test_trace_replays(self):
         first, second = example_pair()
@@ -1012,3 +1033,83 @@ class TestPackedStates:
     def test_extraction_at_d5_over_three_pairs_fits(self):
         """7,776-bit states: the default budget could fill 0.97 GB."""
         _packing(Alphabet(3), 5).check_memory(DEFAULT_STATE_BUDGET)
+
+
+# the flip kernel: one copy of the twin-pair loop, in ``_FlipPacking`` ----
+
+class TestKernel:
+    """``successors(state, seen)`` against filtering ``successors(state)``,
+    with every other successor seen and the state itself, on the starts of
+    the 2,690 extractions, the 17,793 d=3 three-pair codes and the seeded
+    deeper codes."""
+
+    @staticmethod
+    def check(packing, state):
+        every = packing.successors(state)
+        seen = {state, *every[::2]}
+        assert packing.successors(state, seen) == [s for s in every if s not in seen]
+
+    def test_extraction_starts(self):
+        alphabet, word = Alphabet(3), (2,) * 5
+        for cover in (c for n in (2, 3, 4) for c in enumerate_minimal_covers(word, n, alphabet)):
+            self.check(*_packed(cover, alphabet))
+
+    def test_d3_three_pair_codes(self):
+        result = closure(_simple(3), Alphabet(3))
+        packing = _packing(Alphabet(3), 3)
+        assert len(result.packed) == 17793
+        for state in result.packed:
+            self.check(packing, state)
+
+    def test_deep_codes(self):
+        for alphabet, code in _deep_codes():
+            self.check(*_packed(code, alphabet))
+
+
+def _kernel_copies(source: str, module: str) -> list[str]:
+    """Where a twin-pair shift, ``x & x << y`` or ``x & x >> y`` with the
+    operands either way round, sits outside the methods of
+    ``moves._FlipPacking``."""
+    faults = []
+
+    def walk(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, ast.ClassDef) and (module, node.name) == ("moves", "_FlipPacking"):
+            inside = True
+        if not inside and isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            for x, shifted in ((node.left, node.right), (node.right, node.left)):
+                if (
+                    isinstance(shifted, ast.BinOp)
+                    and isinstance(shifted.op, (ast.LShift, ast.RShift))
+                    and ast.dump(shifted.left) == ast.dump(x)
+                ):
+                    faults.append(f"{module}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(source), False)
+    return faults
+
+
+def test_only_the_flip_packing_pairs_twins():
+    sources = sorted(Path(polybox.__file__).parent.glob("*.py"))
+    assert "moves" in {path.stem for path in sources}
+    faults = []
+    for path in sources:
+        faults += _kernel_copies(path.read_text(), path.stem)
+    assert faults == []
+    # the kernel's own loops are seen once the class is not exempt
+    assert _kernel_copies(Path(polybox.moves.__file__).read_text(), "other")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "paired = state & state << place",
+        "paired = (state << place) & state",
+        "twins = current & current >> p",
+        "def closure(code):\n    return [s & s << p for s in code]",
+        "class _Packing:\n    def f(self, x, p):\n        return x & x << p",
+    ],
+)
+def test_kernel_guard_catches(line):
+    assert _kernel_copies(line, "moves")
