@@ -21,10 +21,10 @@ _PAIR_CHARS = "abcdefgh"
 
 
 def letter_name(letter: int) -> str:
+    if not isinstance(letter, int) or not STAR <= letter < 2 * MAX_PAIRS:
+        raise ValueError(f"not a letter: {letter!r}")
     if letter == STAR:
         return "*"
-    if not 0 <= letter < 2 * MAX_PAIRS:
-        raise ValueError(f"not a letter: {letter}")
     base = _PAIR_CHARS[letter >> 1]
     return base + "'" if letter & 1 else base
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .alphabet import MAX_DIM, STAR, Alphabet, letter_name
+from .alphabet import MAX_DIM, MAX_PAIRS, STAR, Alphabet, letter_name
 
 Word = tuple[int, ...]
 Code = tuple[Word, ...]
@@ -49,24 +49,8 @@ def is_dichotomous(v: Word, w: Word) -> bool:
     return any(a == b ^ 1 for a, b in zip(v, w))
 
 
-# bitmask kernel: unchecked, over a list of proper words of one dimension;
-# bit ``j`` of a mask stands for ``words[j]`` -------------------------------
-
-def _letter_masks(words: Sequence[Word]) -> list[list[int]]:
-    """Per position and letter (both letters of every pair in use), the
-    mask of the words with that letter there: the position's letters, last
-    word first, as a binary numeral with "1" where the letter stands."""
-    columns = [bytes(c) for c in zip(*reversed(words))]
-    letters = bytes(range((max(map(max, columns), default=0) | 1) + 1))
-    digits = [
-        bytes.maketrans(letters, bytes(49 if t == s else 48 for t in letters))
-        for s in letters
-    ]
-    return [[int(c.translate(d), 2) for d in digits] for c in columns]
-
-
 def _dichotomy_row(masks: list[list[int]], v: Word) -> int:
-    """The mask of the words dichotomous with ``v``."""
+    """The mask of the words dichotomous with ``v``, over ``_Packing.letters``."""
     row = 0
     for i, s in enumerate(v):
         row |= masks[i][s ^ 1]
@@ -147,11 +131,13 @@ class _Packing:
     it is used.  ``image`` gives the packed images under an isomorphism.
 
     A code is one int, packed word ``w`` at bit ``top - w``: between codes
-    of one size a larger int is a lex-smaller code.  ``letters[i]``, built
-    on first read, holds the mask of each digit at position ``i``: at
-    radix ``r`` and place value ``p``, the word at bit ``b`` has the digit
-    ``r - 1`` less ``b``'s digit, so each digit's mask is a run of ``p``
-    bits with period ``r * p``."""
+    of one size a larger int is a lex-smaller code, and every word mask
+    takes this bit order.  ``letters[i][s]``, built on first read, is the
+    mask of the words with letter ``s`` at position ``i``, and 0 for a
+    letter the packing does not hold there: at radix ``r`` and place value
+    ``p``, the word at bit ``b`` has the digit ``r - 1`` less ``b``'s
+    digit, so each digit's mask is a run of ``p`` bits with period
+    ``r * p``."""
 
     def __init__(
         self, alphabet: Alphabet, dim: int, letters: Iterable[Iterable[int]] | None = None
@@ -174,11 +160,12 @@ class _Packing:
     @cached_property
     def letters(self) -> list[list[int]]:
         size, masks = self.top + 1, []
-        for at, place in zip(self.digits, self.places):
-            radix, run = len(at), 0
+        for at, place, value in zip(self.digits, self.places, self.values):
+            radix, first = len(at), 0
             if size:
                 run = ((1 << place) - 1) * ((1 << size) - 1) // ((1 << radix * place) - 1)
-            masks.append([run << (radix - 1 - d) * place for d in range(radix)])
+                first = run << (radix - 1) * place  # digit 0's mask
+            masks.append([first >> value[s] if s in value else 0 for s in range(self.radix)])
         return masks
 
     def image(self, sigma: Sequence[int], maps: Sequence[Sequence[int]]) -> _DigitSum:
@@ -287,7 +274,8 @@ def make_code(words: Iterable[Word], alphabet: Alphabet | None = None) -> Code:
     for v in out:
         _require_proper(v)
         if alphabet is not None and not alphabet.spells(v):
-            raise ValueError(f"letter outside alphabet in {format_plain(v)}")
+            names = (letter_name(s) if s in Alphabet(MAX_PAIRS) else repr(s) for s in v)
+            raise ValueError(f"letter outside alphabet in {''.join(names)}")
     for prev, cur in zip(out, out[1:]):
         if prev == cur:
             raise ValueError(f"duplicate word {format_plain(cur)}")

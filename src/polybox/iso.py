@@ -333,7 +333,7 @@ class Group:
         ``extra`` holds ``(left, right)``, each ``(mask, shift)`` in
         ``left`` (``right``) moving its bits up (down) by ``shift``, or is
         empty.  The words with given letters at the positions ``g`` moves
-        form one block, the AND of those digits' masks, and all move by one
+        form one block, the AND of those letters' masks, and all move by one
         shift: a word's bit falls by its packed value's rise, what the
         image's letters add less what the word's add (``packing.values``).
         Most steps move one block each way, so only the first block each
@@ -343,11 +343,11 @@ class Group:
         moved = [i for i in range(self.dim) if g.sigma[i] != i or g.maps[i] != identity]
         masks, values = packing.letters, packing.values
         blocks: dict[int, int] = {}  # shift -> mask
-        for choice in itertools.product(*(enumerate(packing.digits[i]) for i in moved)):
-            letter = {i: s for i, (_, s) in zip(moved, choice)}
+        for choice in itertools.product(*(packing.digits[i] for i in moved)):
+            letter = dict(zip(moved, choice))
             mask, shift = (2 << packing.top) - 1, 0
-            for i, (d, s) in zip(moved, choice):
-                mask &= masks[i][d]
+            for i, s in zip(moved, choice):
+                mask &= masks[i][s]
                 shift += values[i][s] - values[i][g.maps[i][letter[g.sigma[i]]]]
             blocks[shift] = blocks.get(shift, 0) | mask
         # a permutation of bits moves some up exactly when it moves some down

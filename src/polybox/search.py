@@ -27,9 +27,10 @@ The workhorses:
   weight composition it grows only the covers through one word of the
   top level and maps them onto the others (McKay, "Isomorph-free
   exhaustive generation", J. Algorithms 26, 1998, for the orbit
-  bookkeeping), keeping each image once.  A pool word's index is its
-  packed number in ``core._Packing``, so an element maps indices through
-  one ``_Packing.image`` table, filled as covers meet the words.
+  bookkeeping), keeping each image once.  A pool word's index ``n`` is
+  its packed number in ``core._Packing``, at bit ``top - n`` of every
+  word mask as in a packed code, so an element maps indices through one
+  ``_Packing.image`` table, filled as covers meet the words.
 * ``cover_code`` joins per-word cover families into covers of a code,
   drawing candidates by pigeonhole from a word index and checking them
   over word bitmasks, and ``find_second_codes`` rebuilds the partner of a
@@ -41,16 +42,15 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, inferred_alphabet
 from .core import (
     Code,
     Word,
     _dichotomy_row,
-    _letter_masks,
     _Packing,
     binary_code,
     binary_code_set,
@@ -108,7 +108,7 @@ def standard_seeds(dim: int = 5) -> tuple[Code, ...]:
 
 @dataclass(frozen=True)
 class _Pool:
-    # word i is packed word i of ``packing``, b...b included
+    # word n is packed word n of ``packing``, b...b included, at mask bit top - n
     packing: _Packing
     words: tuple[Word, ...]
     level_masks: tuple[int, ...]
@@ -141,7 +141,8 @@ def _cell_tables(
     letter of pair ``p`` with side ``s`` the values whose bit for ``p`` is
     ``s``.  A word's cells are the AND of its letters' cell masks, each one
     run of set bits, doubled.  A cell's words are the AND over positions of
-    the ``_letter_masks`` rows of the letters that take its value there."""
+    the OR of the pool packing's ``letters`` masks of the letters that take
+    its value there."""
     others = [p for p in range(pair_count) if p != ANCHOR_LETTER >> 1]
     half = len(others)
     ncells = 1 << (half * dim)
@@ -196,20 +197,20 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
     letters = [s for s in range(2 * pair_count) if s != ANCHOR_LETTER ^ 1]
     packing = _Packing(Alphabet(pair_count), dim, [letters] * dim)
     words = tuple(itertools.product(letters, repeat=dim))  # in packed order
+    top, masks = packing.top, packing.letters
     # b...b is the one word of level dim
     level_masks = [0] * (dim + 1)
-    for i, w in enumerate(words):
-        level_masks[w.count(ANCHOR_LETTER)] |= 1 << i
-    masks = _letter_masks(words)  # b...b puts the pair of b in use
+    for n, w in enumerate(words):
+        level_masks[w.count(ANCHOR_LETTER)] |= 1 << top - n
     dichotomous = [_dichotomy_row(masks, w) for w in words]
 
-    def twins(n: int, w: Word) -> int:
+    def twins(b: int, w: Word) -> int:
         # one letter complemented, by packed arithmetic; b' is no pool letter
-        return sum(1 << n - at[s] + at[s ^ 1] for at, s in zip(packing.values, w) if s ^ 1 in at)
+        return sum(1 << b + at[s] - at[s ^ 1] for at, s in zip(packing.values, w) if s ^ 1 in at)
 
     # a twin-free row is the dichotomy row less the word's twins; twins are
     # dichotomous, so the XOR clears exactly them
-    twin_free = [row ^ twins(n, w) for n, (w, row) in enumerate(zip(words, dichotomous))]
+    twin_free = [row ^ twins(top - n, w) for n, (w, row) in enumerate(zip(words, dichotomous))]
 
     cells, cell_words = _cell_tables(pair_count, dim, letters, masks)
     return _Pool(
@@ -221,21 +222,6 @@ def _cover_pool(pair_count: int, dim: int) -> _Pool:
         cells=tuple(cells),
         cell_words=tuple(cell_words),
     )
-
-
-class _Lazy(dict):
-    """A dict that fills each missing key with ``make(key)`` when it is
-    first looked up."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def cover_word(
@@ -310,9 +296,10 @@ def _grow(
     Pairwise dichotomous words have disjoint sub-boxes, so a cover is an
     exact tiling of the cells of ``b...b``.  The search runs in two phases.
     Every level group but the lightest is picked heaviest first, in index
-    order, and each pick forward-checks that all later levels still have
-    enough compatible candidates; the uncovered cells are tracked as one
-    int.  The lightest group is then filled as an exact cover: branch on
+    order (word ``n`` is at bit ``top - n``, so highest bit first), and
+    each pick forward-checks that all later levels still have enough
+    compatible candidates; the uncovered cells are tracked as one int.
+    The lightest group is then filled as an exact cover: branch on
     the lowest uncovered cell, over the candidates that hold it.  Its words
     all have one weight, so every completion tiles the uncovered cells with
     the right word count, and each tiling holds the branching cell in
@@ -322,7 +309,7 @@ def _grow(
         collect(frozenset(base))
         return
     compat = pool.twin_free if twin_free else pool.dichotomous
-    masks = pool.level_masks
+    masks, top = pool.level_masks, pool.packing.top
     cells, cell_words = pool.cells, pool.cell_words
     groups: list[tuple[int, int]] = []
     for level in sorted(set(level_seq), reverse=True):
@@ -343,9 +330,9 @@ def _grow(
         cell = (uncovered & -uncovered).bit_length() - 1
         options = cell_words[cell] & candidates
         while options:
-            low = options & -options
-            idx = low.bit_length() - 1
-            options ^= low
+            b = options.bit_length() - 1
+            options ^= 1 << b
+            idx = top - b
             rest = uncovered ^ cells[idx]
             if rest:
                 tile(rest, candidates & compat[idx], chosen + (idx,))
@@ -364,9 +351,9 @@ def _grow(
                 pick(gi + 1, mask & masks[level], mask, count, uncovered, chosen)
             return
         while candidates:
-            low = candidates & -candidates
-            idx = low.bit_length() - 1
-            candidates ^= low
+            b = candidates.bit_length() - 1
+            candidates ^= 1 << b
+            idx = top - b
             nmask = mask & compat[idx]
             if need > 1 and (candidates & nmask).bit_count() < need - 1:
                 continue
@@ -522,18 +509,18 @@ def _tiling_census(alphabet: Alphabet, dim: int) -> set[int]:
     ``_grow`` yields each one exactly once.  Level-0 words hold neither
     ``b`` nor ``b'``, so each letter above them moves down two places to
     its letter over ``k`` pairs, and each level-0 pool index maps to that
-    word's bit.  Refused, like every pool, when the pool would pass
-    ``POOL_ROW_BYTES_CAP``, and below dimension 2, where no pool word holds
-    ``b`` for the cell tables to read."""
+    word's bit in the ``k``-pair packing.  Refused, like every pool, when
+    the pool would pass ``POOL_ROW_BYTES_CAP``, and below dimension 2,
+    where no pool word holds ``b`` for the cell tables to read."""
     if dim < 2:
         raise ValueError("tiling codes are enumerated from dimension 2")
     pool = _cover_pool(alphabet.pair_count + 1, dim)
     pack = _Packing(alphabet, dim).pack
     letter = [s - 2 * (s > ANCHOR_LETTER) for s in range(2 * alphabet.pair_count + 2)]
-    level = pool.level_masks[0]
+    level, top = pool.level_masks[0], pool.packing.top
     bits = [
-        pack([tuple(letter[s] for s in w)]) if level >> i & 1 else 0
-        for i, w in enumerate(pool.words)
+        pack([tuple(letter[s] for s in w)]) if level >> top - n & 1 else 0
+        for n, w in enumerate(pool.words)
     ]
     found: set[int] = set()
 
@@ -554,12 +541,14 @@ def cover_code(
     """All covers of the code (of at most ``max_size`` words) obtained by
     joining one cover per word.
 
-    The families' words are indexed once, and each cover becomes a sorted
-    tuple of word indices.  A partial cover ``P`` of ``p`` words joins a
-    cover ``D`` of ``q`` words when the union stays within ``max_size``,
-    so when they share at least ``s = p + q - max_size`` words.  Each
-    family's covers are bucketed by size, with per word the covers of that
-    size that hold it.  When ``s > 0``, a size-``q`` cover that shares
+    The families' words are numbered through a ``_Packing`` over the
+    letters they use at each position, in the alphabet of their largest
+    letter, and each cover becomes a sorted tuple of packed words.  A
+    partial cover ``P`` of ``p`` words joins a cover ``D`` of ``q`` words
+    when the union stays within ``max_size``, so when they share at least
+    ``s = p + q - max_size`` words.  Each family's covers are bucketed by
+    size, with per word the covers of that size that hold it.  When
+    ``s > 0``, a size-``q`` cover that shares
     ``s`` words with ``P`` holds one of any ``p - s + 1`` of them
     (pigeonhole), so the candidates are the covers that hold one of the
     ``p - s + 1`` words of ``P`` held by the fewest covers of the family;
@@ -580,10 +569,11 @@ def cover_code(
     for w in universe:
         if not is_proper(w):
             raise ValueError(f"proper word required: {format_plain(w)}")
-    index = {w: i for i, w in enumerate(universe)}
-    masks = _letter_masks(universe)
+    at = [set(column) for column in zip(*universe)]
+    packing = _Packing(inferred_alphabet(at), len(at), at)
+    index, top = packing.index, packing.top
     # built only for the words of partial covers that have candidates
-    rows = _Lazy(lambda i: _dichotomy_row(masks, universe[i]))
+    rows = cache(lambda n: _dichotomy_row(packing.letters, packing.words[n]))
 
     def members(fam: list[Code]) -> list[tuple[int, ...]]:
         return sorted({tuple(sorted(map(index.__getitem__, c))) for c in fam})
@@ -620,14 +610,14 @@ def cover_code(
             room = max_size - p
             have = set(partial)
             joinable = -1
-            for i in partial:
-                joinable &= rows[i]
+            for n in partial:
+                joinable &= rows(n)
             for m in candidates:
-                extra = [i for i in fam[m] if i not in have]
-                if len(extra) <= room and all(joinable >> i & 1 for i in extra):
+                extra = [n for n in fam[m] if n not in have]
+                if len(extra) <= room and all(joinable >> top - n & 1 for n in extra):
                     new.add(tuple(sorted(have.union(extra))))
         current = sorted(new)
-    return tuple(tuple(universe[i] for i in ids) for ids in current)
+    return tuple(tuple(map(packing.words.__getitem__, ids)) for ids in current)
 
 
 # rebuilding the second code -----------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import polybox
-from polybox.alphabet import Alphabet, STAR
+from polybox.alphabet import Alphabet, STAR, letter_name
 from polybox.core import (
     _Packing,
     are_disjoint,
@@ -22,7 +22,6 @@ from polybox.core import (
     density,
     distribution,
     flat_witness,
-    format_plain,
     is_covered,
     is_cube_tiling_code,
     is_dichotomous,
@@ -213,16 +212,6 @@ class _Letter(int):
     pass
 
 
-def _outside_message(word):
-    """(error type, message) of ``make_code``'s refusal of a word with a
-    letter outside the alphabet.  The message names the word; a float
-    letter has no name, so the naming's TypeError comes out instead."""
-    try:
-        return ValueError, f"letter outside alphabet in {format_plain(word)}"
-    except TypeError as error:
-        return TypeError, str(error)
-
-
 class TestCodeValidation:
     def test_duplicate_raises(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -239,30 +228,35 @@ class TestCodeValidation:
         with pytest.raises(ValueError, match="proper"):
             make_code([(0, STAR)])
 
-    # (letter, taken): ``in`` takes ints and int subclasses, bools among
-    # them, from 0 to 2k - 1, and nothing else
+    # (letter, taken, its name): ``in`` takes ints and int subclasses, bools
+    # among them, from 0 to 2k - 1, and nothing else; only ints have names
     LETTERS = {
-        "bool": (True, True),
-        "float": (1.0, False),
-        "int subclass": (_Letter(1), True),
-        "numpy int": (numpy.int64(1), False),
-        "2k": (4, False),
+        "bool": (True, True, "a'"),
+        "float": (1.0, False, None),
+        "int subclass": (_Letter(1), True, "a'"),
+        "numpy int": (numpy.int64(1), False, None),
+        "2k": (4, False, "c"),
     }
 
     @pytest.mark.parametrize("case", LETTERS)
     def test_alphabet_check_is_letter_membership(self, case):
         """``make_code`` takes exactly the letters ``in`` takes, and refuses
-        the others with the message it has always given."""
-        letter, taken = self.LETTERS[case]
+        the others with its own message, which names a letter without a
+        name by its ``repr``."""
+        letter, taken, name = self.LETTERS[case]
         alphabet, code = Alphabet(2), [(1, 0), (0, letter)]
         assert (letter in alphabet) == alphabet.spells((0, letter)) == taken
+        if name is None:
+            with pytest.raises(ValueError, match="^not a letter: "):
+                letter_name(letter)
+        else:
+            assert letter_name(letter) == name
         if taken:
             assert make_code(code, alphabet) == ((0, letter), (1, 0))
             return
-        kind, message = _outside_message((0, letter))
-        with pytest.raises(kind) as refused:
+        with pytest.raises(ValueError) as refused:
             make_code(code, alphabet)
-        assert str(refused.value) == message
+        assert str(refused.value) == f"letter outside alphabet in a{name or repr(letter)}"
 
     def test_is_polybox_code(self):
         assert is_polybox_code([W("aa"), W("aa'")])
@@ -319,12 +313,21 @@ class TestPackedWords:
         assert "letters" not in vars(packing)  # its masks are never built
 
     def test_masks_are_built_on_first_read(self):
-        packing = _Packing(Alphabet(2), 3, [[0, 1, 2], [3], [1, 2]])
+        """``letters[i][s]`` holds word ``n`` at bit ``top - n`` exactly when
+        it has letter ``s`` at position ``i``, so it is 0 for a letter the
+        packing does not hold there."""
+        alphabet = Alphabet(2)
+        packing = _Packing(alphabet, 3, [[0, 1, 2], [3], [1, 2]])
         assert "letters" not in vars(packing)
+        for masks in packing.letters:
+            assert len(masks) == alphabet.size
+            assert not any(m >> packing.top + 1 for m in masks)
         for n in range(packing.top + 1):
             word = packing.words[n]
-            for masks, at, s in zip(packing.letters, packing.digits, word):
-                assert [m >> packing.top - n & 1 for m in masks] == [t == s for t in at]
+            for masks, s in zip(packing.letters, word):
+                assert [m >> packing.top - n & 1 for m in masks] == [
+                    t == s for t in alphabet.letters()
+                ]
 
 
 class TestWordIndex:

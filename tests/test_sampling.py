@@ -206,12 +206,13 @@ def test_heavy_tailed_stream_completes():
 # cover pool rows -------------------------------------------------------------
 
 def pairwise_rows(words, i):
-    v = words[i]
+    """Word ``i``'s two rows, word ``j`` at bit ``len(words) - 1 - j``."""
+    v, top = words[i], len(words) - 1
     dichotomous = [is_dichotomous(v, w) for w in words]
     twin_free = [
         d and twin_pair_direction(v, w) is None for d, w in zip(dichotomous, words)
     ]
-    pack = lambda bits: sum(1 << j for j, bit in enumerate(bits) if bit)
+    pack = lambda bits: sum(1 << top - j for j, bit in enumerate(bits) if bit)
     return pack(dichotomous), pack(twin_free)
 
 
@@ -220,12 +221,12 @@ def pairwise_rows(words, i):
 )
 def test_cover_pool_rows_match_pairwise_predicates(pairs, dim, rows):
     pool = _cover_pool(pairs, dim)
-    words = pool.words
+    words, top = pool.words, pool.packing.top
     # every word without b', b...b included: it is in no level mask
-    assert len(words) == (2 * pairs - 1) ** dim
+    assert len(words) == (2 * pairs - 1) ** dim == top + 1
     for level, mask in enumerate(pool.level_masks):
         assert mask == sum(
-            1 << j for j, w in enumerate(words) if w.count(ANCHOR_LETTER) == level
+            1 << top - j for j, w in enumerate(words) if w.count(ANCHOR_LETTER) == level
         )
     picked = range(len(words)) if rows is None else Random(5).sample(range(len(words)), rows)
     for i in picked:
@@ -240,21 +241,21 @@ def test_cell_tables_tile_the_box_of_the_anchor(pairs, dim):
     """Disjoint sub-boxes exactly for dichotomous words, ``2**level`` parts
     in ``2**dim`` of the box per word, and the two tables transposed."""
     pool = _cover_pool(pairs, dim)
-    words, cells = pool.words, pool.cells
+    words, cells, top = pool.words, pool.cells, pool.packing.top
     ncells = len(pool.cell_words)
     assert ncells == 1 << ((pairs - 1) * dim)
     rng = Random(pairs * 10 + dim)
     for i in rng.sample(range(len(words)), 60):
         level = words[i].count(ANCHOR_LETTER)
         assert cells[i].bit_count() == ncells >> (dim - level)
-        meets = sum(1 << j for j, other in enumerate(cells) if cells[i] & other)
+        meets = sum(1 << top - j for j, other in enumerate(cells) if cells[i] & other)
         assert meets == pool.dichotomous[i] ^ ((1 << len(words)) - 1)
         assert cells[i] == sum(
-            1 << c for c, row in enumerate(pool.cell_words) if row >> i & 1
+            1 << c for c, row in enumerate(pool.cell_words) if row >> top - i & 1
         )
     for c in rng.sample(range(ncells), min(ncells, 60)):
         assert pool.cell_words[c] == sum(
-            1 << i for i, row in enumerate(cells) if row >> c & 1
+            1 << top - i for i, row in enumerate(cells) if row >> c & 1
         )
 
 

@@ -14,8 +14,6 @@ from polybox.alphabet import Alphabet
 from polybox.core import (
     Code,
     _Packing,
-    _dichotomy_row,
-    _letter_masks,
     are_equivalent,
     binary_code_set,
     code_covered,
@@ -170,15 +168,59 @@ class TestPoolNumbering:
         but is in no level mask and no compatibility row, and its sub-box
         is the whole box."""
         pool = _cover_pool(pairs, dim)
-        index = pool.packing.index
+        index, top = pool.packing.index, pool.packing.top
         assert all(index[w] == n for n, w in enumerate(pool.words))
-        assert len(pool.words) == pool.packing.top + 1
+        assert len(pool.words) == top + 1
         anchor = index[(ANCHOR_LETTER,) * dim]
         assert pool.words[anchor] == (ANCHOR_LETTER,) * dim
-        assert not any(mask >> anchor & 1 for mask in pool.level_masks)
+        assert not any(mask >> top - anchor & 1 for mask in pool.level_masks)
         assert pool.dichotomous[anchor] == pool.twin_free[anchor] == 0
-        assert not any(row >> anchor & 1 for row in pool.dichotomous + pool.twin_free)
+        assert not any(row >> top - anchor & 1 for row in pool.dichotomous + pool.twin_free)
         assert pool.cells[anchor] == (1 << len(pool.cell_words)) - 1
+
+
+class TestOneBitOrder:
+    """Pool rows and packed codes share one bit order: a cover's pool
+    indices at bits ``top - n`` are its packed code, and the pool's rows
+    and level masks read that int as they read any index set."""
+
+    @pytest.mark.parametrize("pairs, dim, sizes, twin_free", [
+        (2, 5, range(5, 9), True),
+        (3, 4, range(2, 6), False),
+    ])
+    def test_covers_are_packed_codes(self, monkeypatch, pairs, dim, sizes, twin_free):
+        pool = _cover_pool(pairs, dim)
+        packing, top = pool.packing, pool.packing.top
+        compat = pool.twin_free if twin_free else pool.dichotomous
+        grown_ids = []
+
+        def recording(base, allowed, level_seq, pool, collect, twin_free):
+            def record(ids):
+                grown_ids.append(ids)
+                collect(ids)
+            _grow(base, allowed, level_seq, pool, record, twin_free)
+
+        monkeypatch.setattr(search, "_grow", recording)
+        alphabet, u = Alphabet(pairs), (ANCHOR_LETTER,) * dim
+        covers = set()
+        for size in sizes:
+            if dim == 5:
+                covers.update(cover_word(u, size, alphabet))
+            covers.update(enumerate_minimal_covers(u, size, alphabet, twin_free=twin_free))
+        assert covers and grown_ids
+        for ids in grown_ids:
+            state = sum(1 << top - n for n in ids)
+            assert state == packing.pack(map(pool.words.__getitem__, ids))
+            assert packing.unpack(state) in covers
+        for cover in covers:
+            ids = [packing.index[w] for w in cover]
+            state = packing.pack(cover)
+            assert sum(1 << top - n for n in ids) == state
+            for n in ids:
+                assert compat[n] & state == state ^ 1 << top - n
+            assert [(state & mask).bit_count() for mask in pool.level_masks] == [
+                sum(w.count(ANCHOR_LETTER) == level for w in cover) for level in range(dim)
+            ]
 
 
 class TestEnumerateMinimalCovers:
@@ -334,6 +376,26 @@ class TestCoverCode:
         for c in joint:
             assert is_polybox_code(c) and code_covered(code, c) and len(c) <= max_size
 
+    @pytest.mark.parametrize("case", ["one letter", "high pairs", "unprimed top"])
+    def test_sparse_universes_match_the_pairwise_join(self, case):
+        """The join packs words over the letters each position uses, in the
+        alphabet of the largest letter: here a position that carries one
+        letter, positions that carry letters of high pairs only, and a
+        largest letter that is unprimed."""
+        relabel, holds = {
+            "one letter": (lambda x: (0,) + x, lambda at: at[0] == {0}),
+            "high pairs": (lambda x: tuple(s + 4 for s in x), lambda at: min(map(min, at)) >= 4),
+            "unprimed top": (lambda x: x + (6,), lambda at: max(map(max, at)) == 6),
+        }[case]
+        families = two_word_families(relabel)
+        code = tuple(sorted(families))
+        words = {x for fam in families.values() for c in fam for x in c}
+        assert holds([set(column) for column in zip(*words)])
+        for max_size in (3, 4, 5, 6):
+            joint = cover_code(code, max_size, families)
+            assert joint == slow_cover_code(code, max_size, families)
+            assert joint or max_size == 3
+
     def test_matches_the_counter_join_on_the_anchor_pair(self):
         # the sabc-partial families at sizes 5-7: covers of bbbbb over three
         # pairs, twin-free, bridge-filtered as the repro job filters them,
@@ -444,6 +506,18 @@ def slow_second_codes(known, partial, alphabet, min_density):
     return tuple(sorted(out))
 
 
+def two_word_families(relabel=lambda x: x) -> dict:
+    """Cover families for the code ``{bb, b'b}`` over two pairs: the
+    minimal covers of ``bb`` of two to four words, and their mirrors under
+    ``b <-> b'`` at position 0, with every word relabelled."""
+    family = [c for n in (2, 3, 4) for c in enumerate_minimal_covers(W("bb"), n, Alphabet(2))]
+    mirror = lambda x: (x[0] ^ (x[0] >> 1 == 1),) + x[1:]
+    return {
+        relabel(u): [tuple(sorted(map(relabel, map(move, c)))) for c in family]
+        for u, move in ((W("bb"), lambda x: x), (W("b'b"), mirror))
+    }
+
+
 # nested searches that call themselves through their cells are freed on
 # return: with the collector off, one call leaves no cycle behind ----------
 
@@ -455,8 +529,12 @@ def slow_second_codes(known, partial, alphabet, min_density):
         lambda: cover_word(V5, 7, Alphabet(2)),
         lambda: enumerate_minimal_covers(V5, 4, Alphabet(3)),
         lambda: _tiling_census(Alphabet(2), 3),
+        lambda families=two_word_families(): cover_code(tuple(sorted(families)), 5, families),
     ],
-    ids=["weight_compositions", "random_tiling_code", "cover_word", "enumerate", "tiling_census"],
+    ids=[
+        "weight_compositions", "random_tiling_code", "cover_word", "enumerate", "tiling_census",
+        "cover_code",
+    ],
 )
 def test_leaves_no_reference_cycles(call):
     call()  # fill the caches first
@@ -488,8 +566,10 @@ def slow_cover_code(code, max_size, families):
 
 
 # slow twin: ``cover_code`` as it was before the pigeonhole join, counting
-# per partial cover the words each family cover shares with it, kept
-# verbatim; it reaches the full-size families the pairwise twin cannot ---
+# per partial cover the words each family cover shares with it; it reaches
+# the full-size families the pairwise twin cannot.  It checks a join by
+# ``is_dichotomous`` on each pair of words, remembered, not over word
+# bitmasks, so it shares no mask kernel with ``cover_code`` ----------------
 
 def counter_cover_code(code, max_size, families):
     words = sorted(code)
@@ -506,8 +586,7 @@ def counter_cover_code(code, max_size, families):
         if not is_proper(w):
             raise ValueError(f"proper word required: {format_plain(w)}")
     index = {w: i for i, w in enumerate(universe)}
-    masks = _letter_masks(universe)
-    rows = [_dichotomy_row(masks, w) for w in universe]
+    apart = lru_cache(maxsize=None)(lambda i, j: is_dichotomous(universe[i], universe[j]))
 
     def members(fam: list[Code]) -> list[tuple[int, ...]]:
         return sorted({tuple(sorted(index[w] for w in c)) for c in fam})
@@ -531,19 +610,17 @@ def counter_cover_code(code, max_size, families):
             else:
                 candidates = range(len(fam))
             have = set(partial)
-            joinable = -1
-            for i in partial:
-                joinable &= rows[i]
             for m in candidates:
                 extra = [i for i in fam[m] if i not in have]
-                if len(extra) <= room and all(joinable >> i & 1 for i in extra):
+                if len(extra) <= room and all(apart(i, j) for i in partial for j in extra):
                     new.add(tuple(sorted(have.union(extra))))
         current = sorted(new)
     return tuple(tuple(universe[i] for i in ids) for ids in current)
 
 
 # slow twin: ``_grow`` as it was before the exact-cover phase, over counts
-# alone, kept verbatim as the reference the two-phase search must match ----
+# alone, as the reference the two-phase search must match; like it, it
+# takes the highest set bit first, pool word ``top - b`` at bit ``b`` -----
 
 def slow_grow(
     base: tuple[int, ...],
@@ -557,7 +634,7 @@ def slow_grow(
         collect(frozenset(base))
         return
     compat = pool.twin_free if twin_free else pool.dichotomous
-    masks = pool.level_masks
+    masks, top = pool.level_masks, pool.packing.top
     groups: list[tuple[int, int]] = []
     for level in sorted(set(level_seq), reverse=True):
         groups.append((level, level_seq.count(level)))
@@ -577,9 +654,9 @@ def slow_grow(
                 pick(gi + 1, mask & masks[level], mask, count, chosen)
             return
         while candidates:
-            low = candidates & -candidates
-            idx = low.bit_length() - 1
-            candidates ^= low
+            b = candidates.bit_length() - 1
+            candidates ^= 1 << b
+            idx = top - b
             nmask = mask & compat[idx]
             if need > 1 and (candidates & nmask).bit_count() < need - 1:
                 continue
@@ -808,13 +885,13 @@ class TestCoverWordAgainstSlowTwin:
         assert counts == sorted(set(counts), reverse=True)
 
 
-# slow twin: the census of cube tiling codes as a backtracker over the
-# dichotomy masks of the whole word space, no cells and no pool ---------
+# slow twin: the census of cube tiling codes as a backtracker over rows of
+# the whole word space built by pairwise ``is_dichotomous``, word ``j`` at
+# bit ``j``; no cells, no pool and no packing ------------------------------
 
 def slow_tiling_census(alphabet: Alphabet, dim: int) -> set:
     words = list(itertools.product(alphabet.letters(), repeat=dim))
-    masks = _letter_masks(words)
-    rows = [_dichotomy_row(masks, v) for v in words]
+    rows = [sum(1 << j for j, w in enumerate(words) if is_dichotomous(v, w)) for v in words]
     found = set()
     chosen = []
 
