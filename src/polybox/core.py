@@ -104,8 +104,10 @@ STATE_BITS_CAP = 1 << 16
 
 class _WordIndex(dict):
     """Word -> packed word, filled as words are met: a word's first sight
-    is checked by ``pack_word``, so a refused word is never kept, and then
-    sums what each of its letters adds (``values``)."""
+    sums what each of its letters adds (``values``).  A letter the packing
+    does not hold keeps the word out: ``pack_word`` refuses it with its
+    ``ValueError`` when it is outside the alphabet, and the lookup's
+    ``KeyError`` stands otherwise."""
 
     def __init__(self, alphabet: Alphabet, values: list[dict[int, int]]) -> None:
         super().__init__()
@@ -113,8 +115,11 @@ class _WordIndex(dict):
         self.values = values
 
     def __missing__(self, v: Word) -> int:
-        pack_word(v, self.alphabet)
-        n = self[v] = sum(map(dict.__getitem__, self.values, v))
+        try:
+            n = self[v] = sum(map(dict.__getitem__, self.values, v))
+        except KeyError:
+            pack_word(v, self.alphabet)
+            raise
         return n
 
 
@@ -125,8 +130,8 @@ class _Packing:
     position's sorted letters, position 0 most significant, so packed
     words keep lex order; ``places[i]`` is what one digit at position ``i``
     adds, and ``values[i]`` what each of its letters adds.  ``index`` maps
-    each word met, as a tuple, to its packed word, checking it by
-    ``pack_word`` once, and ``words`` maps packed words back; both hold
+    each word met, as a tuple, to its packed word, refusing a word with a
+    letter it does not hold, and ``words`` maps packed words back; both hold
     only the words met, so a packing over a huge space costs nothing until
     it is used.  ``image`` gives the packed images under an isomorphism.
 

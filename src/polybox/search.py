@@ -13,9 +13,13 @@ The workhorses:
   permuted seed are images of covers through the seed itself and add no
   class.  Each search grows the cover in two phases.  Pairwise
   dichotomous words have disjoint boxes, so a cover is an exact tiling of
-  the cells of the box of ``b...b``.
+  the cells of the box of ``b...b``; in it, at every position, the two
+  sides of each letter pair other than ``b``'s cover equal volume, and a
+  search whose seed and levels cannot balance them is refused before it
+  starts.
   Every level but the lightest is grown heaviest first over precomputed
-  compatibility bitmasks with count checks; the lightest level is then
+  compatibility bitmasks with count checks, stopping once fewer
+  candidates are left than words to pick; the lightest level is then
   filled as an exact cover, branching on the lowest uncovered cell (Knuth,
   "Dancing links", arXiv cs/0011047), which cuts off the branches that
   leave some cell with no word to cover it.
@@ -283,6 +287,42 @@ def cover_word(
     return tuple(sorted(tuple(map(word, sorted(ids))) for ids in found))
 
 
+def _balanced(pool: _Pool, base: tuple[int, ...], level_seq: tuple[int, ...]) -> bool:
+    """False when no exact tiling of the box of ``b...b`` holds the
+    ``base`` words and words of the levels ``level_seq``.
+
+    In such a tiling the words with the unprimed letter of a pair ``q``
+    other than ``b``'s at position ``i`` cover as much as those with its
+    primed letter: each half of the box split by ``q``'s side at ``i`` is
+    tiled exactly, and the words with ``b`` or another pair at ``i`` lie
+    half in each.  A level-``m`` word covers ``2**m`` units, so the signed
+    sum ``D[i][q]`` of ``2**level`` over the words is 0.  With ``n`` words
+    of the lightest level ``l`` still to place, the heavier ones add
+    multiples of ``2**(l + 1)``, so the base's ``D`` is a multiple of
+    ``2**l``, and the parity of ``D / 2**l`` at ``(i, q)`` is that of the
+    count of level-``l`` words with pair ``q`` at ``i``.  So the number of
+    them without ``b`` at position ``i`` lies between ``n`` and the count
+    ``odd[i]`` of pairs of odd parity there, with the parity of
+    ``odd[i]``; and as each holds ``b`` at ``l`` positions, these numbers
+    add up to ``n * (dim - l)``."""
+    dim, light = pool.packing.dim, min(level_seq)
+    n = level_seq.count(light)
+    sums: Counter[tuple[int, int]] = Counter()
+    for w in map(pool.words.__getitem__, base):
+        weight = 1 << w.count(ANCHOR_LETTER)
+        for i, s in enumerate(w):
+            if s != ANCHOR_LETTER:
+                sums[i, s >> 1] += -weight if s & 1 else weight
+    odd = [0] * dim
+    for (i, _), total in sums.items():
+        if total % (1 << light):
+            return False
+        odd[i] += total >> light & 1
+    spots, least = n * (dim - light), sum(odd)
+    most = sum(n - ((n - o) & 1) for o in odd)
+    return max(odd) <= n and least <= spots <= most and (spots - least) % 2 == 0
+
+
 def _grow(
     base: tuple[int, ...],
     allowed: int,
@@ -294,11 +334,15 @@ def _grow(
     """Fill the remaining level multiset over the compatibility masks.
 
     Pairwise dichotomous words have disjoint sub-boxes, so a cover is an
-    exact tiling of the cells of ``b...b``.  The search runs in two phases.
+    exact tiling of the cells of ``b...b``, and the base words and levels
+    given fill its volume.  A call whose levels cannot balance each
+    letter pair's two sides at every position (``_balanced``) is refused
+    at entry.  Otherwise the search runs in two phases.
     Every level group but the lightest is picked heaviest first, in index
     order (word ``n`` is at bit ``top - n``, so highest bit first), and
     each pick forward-checks that all later levels still have enough
-    compatible candidates; the uncovered cells are tracked as one int.
+    compatible candidates, stopping once fewer candidates are left than
+    words to pick; the uncovered cells are tracked as one int.
     The lightest group is then filled as an exact cover: branch on
     the lowest uncovered cell, over the candidates that hold it.  Its words
     all have one weight, so every completion tiles the uncovered cells with
@@ -350,7 +394,10 @@ def _grow(
                 level, count = groups[gi + 1]
                 pick(gi + 1, mask & masks[level], mask, count, uncovered, chosen)
             return
-        while candidates:
+        # with fewer than ``need`` left, every candidate fails the count test
+        left = candidates.bit_count()
+        while left >= need:
+            left -= 1
             b = candidates.bit_length() - 1
             candidates ^= 1 << b
             idx = top - b
@@ -368,7 +415,7 @@ def _grow(
     for idx in base:
         uncovered ^= cells[idx]
     try:
-        if not feasible(allowed, 0):
+        if not feasible(allowed, 0) or not _balanced(pool, base, level_seq):
             return
         if last == 0:
             tile(uncovered, allowed & lightest, base)

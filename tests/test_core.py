@@ -331,8 +331,9 @@ class TestPackedWords:
 
 
 class TestWordIndex:
-    """``_Packing.index`` memoizes ``pack_word``, so each word is checked
-    on first sight and a refused word is checked again on every sight."""
+    """``_Packing.index`` memoizes ``pack_word``'s values and refusals: a
+    word is numbered on first sight, and a refused word is refused again on
+    every sight."""
 
     def test_refused_word_is_refused_on_every_call(self):
         packing = _Packing(Alphabet(2), 3)
@@ -345,6 +346,17 @@ class TestWordIndex:
         with pytest.raises(ValueError, match=message):
             packing.pack([good, bad])
         assert dict(packing.index) == {good: pack_word(good, Alphabet(2))}
+
+    def test_letters_the_packing_does_not_hold_are_refused(self):
+        # b' is in the alphabet but not in the packing; 4 is in neither,
+        # and refused as pack_word refuses it, wherever it stands
+        packing = _Packing(Alphabet(2), 2, [[0, 1, 2]] * 2)
+        with pytest.raises(KeyError):
+            packing.index[(0, 3)]
+        for word in ((4, 0), (3, 4)):
+            with pytest.raises(ValueError, match="letter 4 is outside the alphabet of 2 pairs"):
+                packing.index[word]
+        assert not packing.index
 
     @given(codes())
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 joins and second-code rebuilding, and the reference cycles they leave."""
 
 import gc
+import hashlib
 import itertools
 import os
 import tracemalloc
@@ -242,6 +243,15 @@ class TestEnumerateMinimalCovers:
             fam.extend(enumerate_minimal_covers(V5, size, alphabet))
         classes = dedup_orbits(fam, word_stabilizer(V5, alphabet))
         assert len(classes) == 6
+
+    def test_keep_sees_covers_in_a_pinned_order(self):
+        # faster searches must not reorder the stream a keep filter sees
+        stream = []
+        enumerate_minimal_covers(
+            V5, 6, Alphabet(3), twin_free=True, keep=lambda c: stream.append(c) or True
+        )
+        assert len(stream) == 5120
+        assert hashlib.sha256(repr(stream).encode()).hexdigest()[:16] == "2eace54f5045ec15"
 
     def test_keep_filter_streams(self):
         alphabet = Alphabet(2)
@@ -883,6 +893,120 @@ class TestCoverWordAgainstSlowTwin:
         # the first cursor skips nothing, and each later one cuts more off
         assert counts[0] == len(whole) and counts[-1] == 0
         assert counts == sorted(set(counts), reverse=True)
+
+
+# the layer balance: in an exact tiling of the box of b...b, the words with
+# either side of a pair other than b's at a position cover equal volume ----
+
+def balance_sums(code) -> dict:
+    """Per position ``i`` and pair ``q`` other than ``b``'s, the cells of
+    the words with ``q``'s unprimed letter at ``i`` less those of the words
+    with its primed letter, a level-``m`` word counting ``2**m``."""
+    sums = {}
+    for i in range(len(code[0])):
+        for q in {w[i] >> 1 for w in code} - {ANCHOR_LETTER >> 1}:
+            sums[i, q] = sum(
+                (w[i] == 2 * q) * 2 ** w.count(ANCHOR_LETTER)
+                - (w[i] == 2 * q + 1) * 2 ** w.count(ANCHOR_LETTER)
+                for w in code
+            )
+    return sums
+
+
+def recorded_units(monkeypatch, search_covers) -> list:
+    """The ``_grow`` calls a search makes, as ``(base, allowed,
+    level_seq, pool, twin_free)``, none of them run."""
+    units = []
+
+    def record(base, allowed, level_seq, pool, collect, twin_free):
+        units.append((base, allowed, level_seq, pool, twin_free))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_grow", record)
+        search_covers()
+    return units
+
+
+class TestLayerBalance:
+    @pytest.mark.parametrize("kind, pairs, size", [
+        *[("seeded", 2, size) for size in range(5, 10)],
+        *[("seeded", 3, size) for size in range(5, 8)],
+        *[("direct", 3, size) for size in range(5, 7)],
+        *[("with twins", 3, size) for size in range(2, 5)],
+    ])
+    def test_every_cover_balances_and_no_part_of_one_does(self, kind, pairs, size):
+        if kind == "seeded":
+            covers = cover_word(V5, size, Alphabet(pairs))
+        elif kind == "direct":
+            covers = direct_twin_free(pairs, size)
+        else:
+            covers = enumerate_minimal_covers(V5, size, Alphabet(pairs))
+        assert covers
+        for cover in covers:
+            assert set(balance_sums(cover).values()) <= {0}, cover
+            for i in range(len(cover)):
+                part = cover[:i] + cover[i + 1 :]
+                assert any(balance_sums(part).values()), (cover, i)
+
+    @pytest.mark.parametrize("kind, pairs, sizes, refused, units", [
+        ("seeded", 2, range(2, 11), 20, 79),
+        ("seeded", 3, range(2, 9), 14, 38),
+        ("direct", 3, range(5, 8), 0, 16),
+    ])
+    def test_refused_units_grow_nothing(self, monkeypatch, kind, pairs, sizes, refused, units):
+        alphabet = Alphabet(pairs)
+
+        def search_covers(size):
+            if kind == "seeded":
+                return cover_word(V5, size, alphabet)
+            return enumerate_minimal_covers(V5, size, alphabet, twin_free=True)
+
+        walked = [
+            unit for size in sizes
+            for unit in recorded_units(monkeypatch, lambda: search_covers(size))
+        ]
+        dead = [unit for unit in walked if not search._balanced(unit[3], unit[0], unit[2])]
+        for unit in dead:
+            assert grown(slow_grow, *unit) == frozenset(), unit[::2]
+        assert (len(dead), len(walked)) == (refused, units)
+
+    @pytest.mark.parametrize("pairs, words, level_seq", [
+        # aaa / a'aa' leaves D = (0, 2, 0), so each of the three level-1
+        # words left holds pair a at two positions: six spots, an odd number
+        # of them at position 1 and an even number at each of the others,
+        # which cannot add up to six
+        (2, [(0, 0, 0), (1, 0, 1)], (1, 1, 1)),
+        # four level-0 words leave D odd for four pairs at position 2, and
+        # only two level-0 words are left to place
+        (5, [(0, 4, 9), (1, 4, 5), (4, 5, 7), (5, 5, 0)], (0, 0, 1)),
+        # a'ba / baa' leave D = (-2, 2, 0), which the one level-2 word left
+        # moves by 4 at one position
+        (2, [(1, 2, 0), (2, 0, 1)], (2,)),
+    ], ids=["spot-parity", "pairs-per-position", "multiple-of-2**l"])
+    def test_refusals_at_d3(self, pairs, words, level_seq):
+        pool = _cover_pool(pairs, 3)
+        base = tuple(map(pool.packing.index.__getitem__, words))
+        allowed = -1
+        for n in base:
+            allowed &= pool.dichotomous[n]
+        assert not search._balanced(pool, base, level_seq)
+        assert grown(slow_grow, base, allowed, level_seq, pool, False) == frozenset()
+
+    def test_named_units(self, monkeypatch):
+        # (2,1,7,0,0) through aaaaa / a'a'a'aa leaves D = (0,0,0,2,2): its one
+        # level-1 word would need letters of pair a at positions 3 and 4 only
+        pool = _cover_pool(2, 5)
+        seed = tuple(map(pool.packing.index.__getitem__, standard_seeds()[0]))
+        found = {}
+        for unit in recorded_units(monkeypatch, lambda: cover_word(V5, 10, Alphabet(2))):
+            base, _, level_seq, _, _ = unit
+            if base == seed:
+                found[profile(level_seq + (0, 0))] = unit
+        dead, live = found[2, 1, 7, 0, 0], found[2, 3, 4, 1, 0]
+        assert not search._balanced(pool, dead[0], dead[2])
+        assert grown(_grow, *dead) == grown(slow_grow, *dead) == frozenset()
+        assert search._balanced(pool, live[0], live[2])
+        assert len(grown(_grow, *live)) == len(grown(slow_grow, *live)) == 780
 
 
 # slow twin: the census of cube tiling codes as a backtracker over rows of
