@@ -24,7 +24,7 @@ from .core import (
     are_equivalent,
     are_disjoint,
 )
-from .iso import Group, canonical_form, greedy_relabel, word_stabilizer
+from .iso import Group, canonical_form, dedup_orbits, greedy_relabel, word_stabilizer
 from .moves import (
     DEFAULT_STATE_BUDGET,
     Verdict,
@@ -47,7 +47,6 @@ from .pbxio import (
 )
 from .repro import JOBS, run_job
 from .search import cover_word, enumerate_minimal_covers, find_second_codes
-from .iso import dedup_orbits
 
 EXIT_YES = 0
 EXIT_NO = 1

@@ -16,7 +16,7 @@ canonical form.
 
 * the element walk visits each group element once, each from the one
   before by one step planned from the group's layout
-  (``Group._walk_steps``): ``order`` images per orbit.  A code is one int
+  (``Group._walk_plan``): ``order`` images per orbit.  A code is one int
   in the packing, a bit per word, where a larger int is a lex-smaller
   code, so the orbit minimum is the largest image.  A step permutes bits
   by masked shifts (Knuth, TAOCP 4A, 7.1.3) in one expression, ``code &
@@ -32,10 +32,10 @@ canonical form.
   meets words.
 
 Groups of up to ``ELEMENT_WALK_MAX_ORDER`` elements take the element walk,
-the rest the orbit walk; both give the same orbit.  The element walk's word
-spaces are small (at most 1,024 words, two pairs at d=5); the orbit walk's
-can be far too large for a bit per word (5**8 words for covers of
-``b...b`` over three pairs at d=8).
+the rest the orbit walk, chosen when the group is built; both give the same
+orbit.  The element walk's word spaces are small (at most 1,024 words, two
+pairs at d=5); the orbit walk's can be far too large for a bit per word
+(5**8 words for covers of ``b...b`` over three pairs at d=8).
 """
 
 from __future__ import annotations
@@ -113,17 +113,17 @@ class Group:
     position permutation so extends to an element, and ``order`` is
     ``d! * prod |N_i|``.
 
-    Each call packs its codes over the letters of the letter classes their
-    words touch (``_check``), and the group keeps one packing per letter
-    set it has walked.  A group of at most ``ELEMENT_WALK_MAX_ORDER``
-    elements is walked element by element over one-int codes, with the bit
-    steps planned over each packing, from one plan of the walk for them
-    all.  Others, such as the three-pair d=5 word stabilizer (3,932,160
-    elements), are walked breadth-first over the orbit with the swaps and
-    the factors as generators; their tables, one per generator and letter
-    set, hold only the words met, never the whole word space.  Codes with
-    a repeated word are refused, since one int per code would merge the
-    repeat.
+    The walk is chosen when the group is built.  A group of at most
+    ``ELEMENT_WALK_MAX_ORDER`` elements is walked element by element over
+    one-int codes, by one plan made then; others, such as the three-pair
+    d=5 word stabilizer (3,932,160 elements), are walked breadth-first over
+    the orbit with the swaps and the factors as generators.  Each call packs
+    its codes over the letters of the letter classes their words touch
+    (``_check``), and per letter set the group keeps that packing and its
+    walk over it (``_walk``): the plan's bit steps, or one table per
+    generator holding only the words met, never the whole word space.
+    Codes with a repeated word are refused, since one int per code would
+    merge the repeat.
     """
 
     def __init__(self, alphabet: Alphabet, dim: int, word: Word | None = None) -> None:
@@ -158,12 +158,10 @@ class Group:
             self._classes = [
                 [1 if s == w else 2 if s == w ^ 1 else 4 for s in alphabet.letters()] for w in word
             ]
-        self._every = sum({c for at in self._classes for c in at})
-        self._plan: tuple[list[GroupElement], list[int]] | None = None
-        self._packings: dict[int, _Packing] = {}  # per letter set
-        # per packing: the element walk's bit steps, the orbit walk's tables
-        self._steps: dict[_Packing, list[tuple[int, int, int, int, int, tuple]]] = {}
-        self._tables: dict[_Packing, list[dict[int, int]]] = {}
+        # the walk, chosen once: the element walk's plan, or None for the
+        # orbit walk; then per letter set, its packing and the walk over it
+        self._plan = self._walk_plan() if self.order <= ELEMENT_WALK_MAX_ORDER else None
+        self._walks: dict[int, tuple[_Packing, list]] = {}
 
     def elements(self) -> Iterator[GroupElement]:
         """Every element, each position permutation with every choice of
@@ -179,14 +177,10 @@ class Group:
 
     def orbit(self, code: Code) -> frozenset[Code]:
         """All images of the code."""
-        classes = self._check([code])
-        packed = self._pack(code, classes)
-        if self._walks_elements():
-            return self._unpack(set(_bit_walk(packed, self._walk_steps(classes))), classes)
-        return self._unpack(self._orbit_walk(packed, classes), classes)
-
-    def _walks_elements(self) -> bool:
-        return self.order <= ELEMENT_WALK_MAX_ORDER
+        packing, walk = self._walk(self._check([code]))
+        packed = self._pack(code, packing)
+        images = _orbit_walk(packed, walk) if self._plan is None else set(_bit_walk(packed, walk))
+        return self._unpack(images, packing)
 
     def _check(self, codes: Iterable[Code]) -> int:
         """The letter classes the codes' words touch, as bits, once each
@@ -213,75 +207,54 @@ class Group:
                             classes |= at[s]
         return classes
 
-    def _pack(self, code: Code, classes: int | None = None) -> int | tuple[int, ...]:
-        """The checked code as its walk takes it, over the packing of
-        ``classes`` (all of them by default): one int for the element walk,
-        a sorted tuple of packed words for the orbit walk."""
-        packing = self._packing(classes)
-        if self._walks_elements():
-            return packing.pack(code)
-        return tuple(sorted(map(packing.index.__getitem__, code)))
+    def _walk(self, classes: int) -> tuple[_Packing, list]:
+        """The packing over the letters of ``classes``, and the group's walk
+        over it: the element walk's bit steps, one per step of the plan, or
+        the orbit walk's tables, one per generator from packed word to packed
+        image.  Built when the group first meets the letter set, and kept."""
+        kept = self._walks.get(classes)
+        if kept is None:
+            letters = [[s for s, c in enumerate(at) if c & classes] for at in self._classes]
+            packing = _Packing(self.alphabet, self.dim, letters)
+            if self._plan is None:
+                walk = [packing.image(g.sigma, g.maps) for g in self.generators]
+            else:
+                elements, plan = self._plan
+                steps = [self._bit_step(g, packing) for g in elements]
+                walk = [steps[k] for k in plan]
+            kept = self._walks[classes] = packing, walk
+        return kept
 
-    def _unpack(self, images: Iterable, classes: int | None = None) -> frozenset[Code]:
-        packing = self._packing(classes)
-        if self._walks_elements():
-            return frozenset(map(packing.unpack, images))
-        words = packing.words
-        return frozenset(tuple(map(words.__getitem__, image)) for image in images)
+    def _pack(self, code: Code, packing: _Packing) -> int | tuple[int, ...]:
+        """The checked code as its walk takes it: one int for the element
+        walk, a sorted tuple of packed words for the orbit walk."""
+        if self._plan is None:
+            return tuple(sorted(map(packing.index.__getitem__, code)))
+        return packing.pack(code)
+
+    def _unpack(self, images: Iterable, packing: _Packing) -> frozenset[Code]:
+        if self._plan is None:
+            words = packing.words
+            return frozenset(tuple(map(words.__getitem__, image)) for image in images)
+        return frozenset(map(packing.unpack, images))
 
     def _least_image(
-        self, packed: int | tuple[int, ...], pending: set, classes: int | None = None
+        self, packed: int | tuple[int, ...], pending: set, walk: list
     ) -> int | tuple[int, ...]:
         """The packed orbit minimum of a packed code, with the orbit's codes
         taken out of ``pending``.  The element walk's images stream by, and
         only the largest int so far is kept."""
-        if self._walks_elements():
-            best = packed
-            for image in _bit_walk(packed, self._walk_steps(classes)):
-                if image in pending:
-                    pending.remove(image)
-                if image > best:
-                    best = image
-            return best
-        orbit = self._orbit_walk(packed, classes)
-        pending.difference_update(orbit)
-        return min(orbit)
-
-    def _packing(self, classes: int | None = None) -> _Packing:
-        """The packing over the letters of ``classes``, all of them by
-        default, built once per letter set."""
-        if classes is None:
-            classes = self._every
-        packing = self._packings.get(classes)
-        if packing is None:
-            letters = [[s for s, c in enumerate(at) if c & classes] for at in self._classes]
-            packing = self._packings[classes] = _Packing(self.alphabet, self.dim, letters)
-        return packing
-
-    def _walk_tables(self, classes: int | None = None) -> list[dict[int, int]]:
-        """One table per generator from packed word to packed image over
-        the packing of ``classes`` (all of them by default), built once
-        per letter set."""
-        packing = self._packing(classes)
-        tables = self._tables.get(packing)
-        if tables is None:
-            tables = self._tables[packing] = [
-                packing.image(g.sigma, g.maps) for g in self.generators
-            ]
-        return tables
-
-    def _orbit_walk(self, code: tuple, classes: int | None = None) -> set[tuple]:
-        """Breadth-first over the orbit: every generator on every image."""
-        tables = self._walk_tables(classes)
-        seen = {code}
-        queue = [code]
-        for state in queue:
-            for table in tables:
-                image = tuple(sorted(map(table.__getitem__, state)))
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        return seen
+        if self._plan is None:
+            orbit = _orbit_walk(packed, walk)
+            pending.difference_update(orbit)
+            return min(orbit)
+        best = packed
+        for image in _bit_walk(packed, walk):
+            if image in pending:
+                pending.remove(image)
+            if image > best:
+                best = image
+        return best
 
     def _walk_plan(self) -> tuple[list[GroupElement], list[int]]:
         """The distinct step elements, and the ``order - 1`` steps, as
@@ -291,10 +264,7 @@ class Group:
         next entry over its last, so a rerun of the lower positions' walk
         covers them wherever it starts.  The swaps normalise ``N`` and meet
         the relations of ``S_d`` modulo ``N``, so between walks of ``N``,
-        swaps in Steinhaus-Johnson-Trotter order step through its cosets.
-        Planned once per group."""
-        if self._plan is not None:
-            return self._plan
+        swaps in Steinhaus-Johnson-Trotter order step through its cosets."""
         fixed = _identity_map(self.alphabet)
         after = lambda g, m: tuple(map(g.__getitem__, m))
         elements, index, walk = list(self.swaps), {}, []
@@ -310,21 +280,7 @@ class Group:
         cosets = list(walk)
         for k in _sjt_swaps(self.dim):
             walk += [k] + cosets
-        self._plan = elements, walk
-        return self._plan
-
-    def _walk_steps(self, classes: int | None = None) -> list[tuple]:
-        """The planned walk as bit steps over the packing of ``classes``
-        (all of them by default), one per distinct element, built when the
-        group first walks codes over that letter set and kept for its
-        life."""
-        packing = self._packing(classes)
-        steps = self._steps.get(packing)
-        if steps is None:
-            elements, walk = self._walk_plan()
-            built = [self._bit_step(g, packing) for g in elements]
-            steps = self._steps[packing] = [built[k] for k in walk]
-        return steps
+        return elements, walk
 
     def _bit_step(self, g: GroupElement, packing: _Packing) -> tuple:
         """``g`` on one-int codes in ``packing`` as ``(fixed, up, rise,
@@ -370,6 +326,19 @@ def _bit_walk(code: int, steps: Iterable[tuple]) -> Iterator[int]:
                 image |= (code & mask) >> shift
         code = image
         yield code
+
+
+def _orbit_walk(code: tuple, tables: list[dict[int, int]]) -> set[tuple]:
+    """Breadth-first over the orbit: every generator's table on every image."""
+    seen = {code}
+    queue = [code]
+    for state in queue:
+        for table in tables:
+            image = tuple(sorted(map(table.__getitem__, state)))
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
 
 
 def _closure(start, generators, after) -> list:
@@ -466,11 +435,8 @@ def word_stabilizer(word: Word, alphabet: Alphabet) -> Group:
 
 
 def canonical_form(code: Code, group: Group) -> Code:
-    """Lexicographic minimum over the orbit; equal on all orbit members.
-    Packing keeps lex order, so only the packed minimum is unpacked."""
-    classes = group._check([code])
-    least = group._least_image(group._pack(code, classes), set(), classes)
-    (canonical,) = group._unpack([least], classes)
+    """Lexicographic minimum over the orbit; equal on all orbit members."""
+    (canonical,) = dedup_orbits((code,), group)
     return canonical
 
 
@@ -485,12 +451,12 @@ def dedup_orbits(family: Iterable[Code], group: Group) -> tuple[Code, ...]:
     walked: an orbit can hold many codes outside the family, and keeping
     them all set the memory peak."""
     family = list(family)
-    classes = group._check(family)
-    pending = {group._pack(code, classes) for code in family}
+    packing, walk = group._walk(group._check(family))
+    pending = {group._pack(code, packing) for code in family}
     minima = []
     while pending:
-        minima.append(group._least_image(pending.pop(), pending, classes))
-    return tuple(sorted(group._unpack(minima, classes)))
+        minima.append(group._least_image(pending.pop(), pending, walk))
+    return tuple(sorted(group._unpack(minima, packing)))
 
 
 def greedy_relabel(code: Code) -> Code:

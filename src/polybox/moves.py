@@ -192,7 +192,7 @@ class _FlipPacking(_Packing):
         outside the alphabet is complementary to none."""
         apart = 0
         for masks, s in zip(self.letters, word):
-            apart |= masks[s ^ 1] if s ^ 1 < self.radix else 0
+            apart |= masks[s ^ 1] if 0 <= s ^ 1 < self.radix else 0
         return (2 << self.top) - 1 ^ apart
 
     def successors(self, state: int, seen: Container[int] = ()) -> list[int]:

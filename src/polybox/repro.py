@@ -44,13 +44,12 @@ from .moves import (
 from .realize import oracle_is_covered
 from .sampling import random_code, random_tiling_code, random_word
 from .search import (
+    ANCHOR_LETTER,
     cover_code,
     cover_word,
     enumerate_minimal_covers,
     _tiling_census,
 )
-
-ANCHOR = 2  # letter b
 
 COVER_CLASS_COUNTS = {5: 1, 6: 1, 7: 3, 8: 4, 9: 19, 10: 51, 11: 153}
 # classes of 2-4-word minimal covers of b...b over three pairs: the bundled
@@ -92,7 +91,7 @@ def job_sl11(long: bool) -> JobReport:
     """Class counts of twin-pair-free minimal covers of bbbbb (two pairs)."""
     report = JobReport("sl11", True)
     alphabet = Alphabet(2)
-    v = (ANCHOR,) * 5
+    v = (ANCHOR_LETTER,) * 5
     stabilizer = word_stabilizer(v, alphabet)
     sizes = range(5, 12) if long else range(5, 10)
     for size in sizes:
@@ -115,7 +114,7 @@ def job_lemma4(long: bool) -> JobReport:
     list, and flip extraction from every class."""
     report = JobReport("lemma4", True)
     alphabet = Alphabet(3)
-    v = (ANCHOR,) * 5
+    v = (ANCHOR_LETTER,) * 5
     stabilizer = word_stabilizer(v, alphabet)
     family: list[Code] = []
     for size in (2, 3, 4):
@@ -138,7 +137,7 @@ def job_lemma4(long: bool) -> JobReport:
             extracted += 1
     report.check("classes admitting extraction", len(classes), extracted)
     # dimension-2 cross-section: the bundled list is the full classification
-    v2 = (ANCHOR,) * 2
+    v2 = (ANCHOR_LETTER,) * 2
     family2: list[Code] = []
     for size in (2, 3, 4):
         family2.extend(enumerate_minimal_covers(v2, size, alphabet))
@@ -274,7 +273,7 @@ def _mirror_to_second_word(alphabet: Alphabet) -> GroupElement:
     for i in range(5):
         m = list(alphabet.letters())
         if i < 3:
-            m[ANCHOR], m[ANCHOR ^ 1] = m[ANCHOR ^ 1], m[ANCHOR]
+            m[ANCHOR_LETTER], m[ANCHOR_LETTER ^ 1] = m[ANCHOR_LETTER ^ 1], m[ANCHOR_LETTER]
         maps.append(tuple(m))
     return element(tuple(range(5)), maps)
 
@@ -285,8 +284,8 @@ def job_sabc_partial(long: bool) -> JobReport:
     families."""
     report = JobReport("sabc-partial", True)
     alphabet = Alphabet(3)
-    v = (ANCHOR,) * 5
-    w = tuple([ANCHOR ^ 1] * 3 + [ANCHOR] * 2)
+    v = (ANCHOR_LETTER,) * 5
+    w = tuple([ANCHOR_LETTER ^ 1] * 3 + [ANCHOR_LETTER] * 2)
 
     # the words that meet the other anchor word, found once
     bridges = {

@@ -454,13 +454,14 @@ def test_modules_load_every_name_they_import():
     assert not unused, "imported but never loaded:\n" + "\n".join(unused)
 
 
-# reachable only from tests, each kept on purpose.  The guard below
-# matches bare names, so it has a blind spot: a same-named function defined
-# in ``bench/``, or an attribute read such as ``checks.tiling_codes``,
-# counts as a reference.  That is how ``search.tiling_codes`` stayed
+# reachable only from tests, each kept on purpose, a method as
+# ``Class.method``.  The guard below matches bare names, so it has a blind
+# spot: a same-named function defined in ``bench/``, or an attribute read
+# such as ``checks.tiling_codes``, counts as a reference.  That is how ``search.tiling_codes`` stayed
 # unflagged while only tests called it, since ``bench/checks.py`` defines
 # and calls a ``tiling_codes`` of its own.
 TEST_ONLY_NAMES = {
+    "Group.elements": "the brute-force element enumerator the walk tests compare against",
     "inverse_flip": "the acceptance tests undo every flip with it",
     "is_polybox_code": "the acceptance tests' validity predicate for codes",
     "oracle_meet_count": "the realization oracle's slow twin of core.density",
@@ -491,22 +492,31 @@ def _uses(node, local):
 
 
 def test_every_public_name_is_referenced():
-    # a public function or class that nothing but its tests reaches is
-    # surface to maintain without a user; delete it or list it above
+    # a public function or class, or a public method of a class in
+    # ``src/``, that nothing but its tests reaches is surface to maintain
+    # without a user; delete it or list it above.  A method counts as
+    # reached when any attribute read names it.
     paths = sorted(DATA.parent.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    defined, referenced = [], set()
+    defined, referenced = [], set()  # (listed name, name, where)
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
+        where = lambda node: f"{path.parent.name}/{path.name}:{node.lineno}"
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((node.name, f"{path.parent.name}/{path.name}:{node.lineno}"))
+                defined.append((node.name, node.name, where(node)))
+            if isinstance(node, ast.ClassDef) and path.parent == DATA.parent:
+                defined += [
+                    (f"{node.name}.{sub.name}", sub.name, where(sub))
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                ]
         if path.name == "__init__.py":
             continue  # a re-export is not a use
         referenced |= _uses(tree, frozenset())
+    unreached = [(listed, where) for listed, name, where in defined if name not in referenced]
     unused = sorted(
-        f"{where}: {name}" for name, where in defined
-        if name not in referenced and name not in TEST_ONLY_NAMES
+        f"{where}: {listed}" for listed, where in unreached if listed not in TEST_ONLY_NAMES
     )
     assert not unused, "referenced by nothing outside the tests:\n" + "\n".join(unused)
-    stale = TEST_ONLY_NAMES.keys() - ({name for name, _ in defined} - referenced)
+    stale = TEST_ONLY_NAMES.keys() - {listed for listed, _ in unreached}
     assert not stale, f"gone, or referenced now, so no longer test-only: {sorted(stale)}"

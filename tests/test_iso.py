@@ -237,11 +237,19 @@ def _census_group():
     return word_stabilizer(V5, Alphabet(2))
 
 
-def _both_walks(monkeypatch):
-    """Yields once under each walk: the element walk, then the orbit walk."""
-    yield
-    monkeypatch.setattr(iso, "ELEMENT_WALK_MAX_ORDER", 0)
-    yield
+def _both_walks(group: Group):
+    """The group rebuilt under each walk: the element walk, then the orbit
+    walk, which a group takes when built with no room for the element
+    walk.  Each is checked to take its walk, so no pair runs one twice."""
+    rebuild = lambda: Group(group.alphabet, group.dim, group.word)
+    first = rebuild()
+    assert first._plan is not None
+    yield first
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iso, "ELEMENT_WALK_MAX_ORDER", 0)
+        second = rebuild()
+    assert second._plan is None
+    yield second
 
 
 def _counted_walks(monkeypatch) -> list[int]:
@@ -289,6 +297,12 @@ def _class_letters(group: Group) -> dict[int, list[list[int]]]:
         for classes in range(8)
         if all(b in present for b in (1, 2, 4) if classes & b)
     }
+
+
+def _all_classes(group: Group) -> int:
+    """The union of all the group's letter classes, as its bits: its
+    packing holds every letter."""
+    return max(_class_letters(group))
 
 
 def _touched(group: Group, codes) -> int:
@@ -344,16 +358,15 @@ SIZES = [5, 6, 7] + [
 
 class TestWalks:
     @pytest.mark.parametrize("group", ENUMERABLE)
-    def test_walks_match_element_enumeration(self, group, monkeypatch):
-        assert group.order <= ELEMENT_WALK_MAX_ORDER  # orbit() walks elements
+    def test_walks_match_element_enumeration(self, group):
         elements = _elements(group)
         assert len(elements) == group.order
         samples = _sample_codes(group, Random(group.order), 2)
-        for _ in _both_walks(monkeypatch):
+        for walked in _both_walks(group):
             for code in samples:
                 expected = frozenset(apply_code(g, code) for g in elements)
-                assert group.orbit(code) == expected
-                assert canonical_form(code, group) == min(expected)
+                assert walked.orbit(code) == expected
+                assert canonical_form(code, walked) == min(expected)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -361,30 +374,30 @@ class TestWalks:
         group = data.draw(st.sampled_from([param.values[0] for param in ENUMERABLE]))
         code = data.draw(codes_over(group.alphabet, group.dim))
         g = _elements(group)[data.draw(st.integers(0, group.order - 1))]
-        with pytest.MonkeyPatch.context() as patch:
-            for _ in _both_walks(patch):
-                assert canonical_form(apply_code(g, code), group) == canonical_form(code, group)
+        for walked in _both_walks(group):
+            assert canonical_form(apply_code(g, code), walked) == canonical_form(code, walked)
 
     @pytest.mark.parametrize("group", ENUMERABLE)
     def test_bit_steps_move_each_word_as_their_elements(self, group):
         """Each distinct planned step, as the walk takes it, carries the
         one-bit code of every word to that of the word's image: over every
-        letter, as by default, and over the letters of each union of the
-        group's letter classes, the packings the element walk narrows to."""
-        elements, walk = group._walk_plan()
-        steps = group._walk_steps()
+        letter, and over the letters of each union of the group's letter
+        classes, the packings the element walk narrows to."""
+        elements, walk = group._plan
+        packing, steps = group._walk(_all_classes(group))
         assert len(walk) == len(steps) == group.order - 1
         alphabet, top = group.alphabet, group.alphabet.size**group.dim - 1
+        assert packing.top == top
         for k, g in enumerate(elements):
             step = steps[walk.index(k)]
             for v in itertools.product(alphabet.letters(), repeat=group.dim):
                 _, image = iso._bit_walk(1 << top - pack_word(v, alphabet), [step])
                 assert image == 1 << top - pack_word(apply_word(g, v), alphabet)
         for classes, letters in _class_letters(group).items():
-            steps = group._walk_steps(classes)
+            packing, steps = group._walk(classes)
             assert len(steps) == len(walk)
             top = math.prod(map(len, letters)) - 1
-            assert group._packing(classes).top == top
+            assert packing.top == top
             for k, g in enumerate(elements):
                 step = steps[walk.index(k)]
                 for v in itertools.product(*letters):
@@ -448,18 +461,18 @@ class TestWalks:
             for i in range(dim)
             for s in range(2, group.alphabet.size, 2) or (1,)
         ]
-        top, steps = group.alphabet.size**dim - 1, group._walk_steps()
+        top, (_, steps) = group.alphabet.size**dim - 1, group._walk(_all_classes(group))
         walks = [iso._bit_walk(1 << top - pack_word(v, group.alphabet), steps) for v in base]
         keys = list(zip(*walks))
         assert len(set(keys)) == len(keys) == group.order
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_dedup_walks_match_old_walk_on_cover_families(self, size, monkeypatch):
+    def test_dedup_walks_match_old_walk_on_cover_families(self, size):
         stab = _census_group()
         family = _cover_family(size)
         expected = _old_representatives(stab, family)
-        for _ in _both_walks(monkeypatch):
-            assert dedup_orbits(family, stab) == expected
+        for group in _both_walks(stab):
+            assert dedup_orbits(family, group) == expected
 
     def test_dedup_under_a_relabelled_anchor(self):
         # the stabilizer of a non-constant word, as in the benchmark's
@@ -484,24 +497,24 @@ class TestWalks:
         unpacked = []
         unpack = Group._unpack
 
-        def counting(self, images, *classes):
+        def counting(self, images, packing):
             images = list(images)
             unpacked.append(len(images))
-            return unpack(self, images, *classes)
+            return unpack(self, images, packing)
 
         monkeypatch.setattr(Group, "_unpack", counting)
         monkeypatch.setattr(Group, "orbit", None)  # dedup never calls it
-        for _ in _both_walks(monkeypatch):
+        for group in _both_walks(stab):
             unpacked.clear()
-            assert dedup_orbits(family, stab) == expected
+            assert dedup_orbits(family, group) == expected
             assert unpacked == [len(expected)] == [3]
 
-    def test_dedup_of_a_family_that_is_no_union_of_orbits(self, monkeypatch):
+    def test_dedup_of_a_family_that_is_no_union_of_orbits(self):
         stab = _census_group()
         part = sorted(set(_cover_family(7)))[::7]
         expected = tuple(sorted({canonical_form(c, stab) for c in part}))
-        for _ in _both_walks(monkeypatch):
-            assert dedup_orbits(part + part[:3], stab) == expected
+        for group in _both_walks(stab):
+            assert dedup_orbits(part + part[:3], group) == expected
 
     def test_dedup_walks_each_class_once(self, monkeypatch):
         """Effort regression: the size-9 census walks its 19 classes, one
@@ -517,17 +530,19 @@ class TestWalks:
         canonical_form(_cover_family(7)[0], stab)
         assert counts == [stab.order]
 
-    def test_least_image_takes_out_exactly_the_pending_orbit_codes(self, monkeypatch):
-        stab, family = _census_group(), _cover_family(7)
+    def test_least_image_takes_out_exactly_the_pending_orbit_codes(self):
+        family = _cover_family(7)
         code = family[-1]
-        for _ in _both_walks(monkeypatch):
-            orbit = set(map(stab._pack, stab.orbit(code)))
-            pending = set(map(stab._pack, family))
+        for group in _both_walks(_census_group()):
+            packing, walk = group._walk(group._check(family))
+            pack = functools.partial(group._pack, packing=packing)
+            orbit = set(map(pack, group.orbit(code)))
+            pending = set(map(pack, family))
             assert pending & orbit and pending - orbit
             expected = pending - orbit
-            least = stab._least_image(stab._pack(code), pending)
+            least = group._least_image(pack(code), pending, walk)
             assert pending == expected
-            assert stab._unpack([least]) == {min(stab.orbit(code))}
+            assert group._unpack([least], packing) == {min(group.orbit(code))}
 
     def test_tables_hold_only_the_words_met(self):
         # the code touches b and the free letters, so its packing holds
@@ -537,20 +552,20 @@ class TestWalks:
         classes = group._check([code])
         assert canonical_form(code, group) == code
         assert len(group.orbit(code)) == 32
-        assert group._packing(classes).top + 1 == 5**8
-        tables = group._walk_tables(classes)
+        packing, tables = group._walk(classes)
+        assert packing.top + 1 == 5**8
         assert [len(table) for table in tables] == [32] * len(group.generators)
 
-    def test_repeated_words_are_refused(self, monkeypatch):
+    def test_repeated_words_are_refused(self):
         """A one-int code would merge a repeated word, so both walks
         refuse it."""
         stab = word_stabilizer(W("bb"), Alphabet(2))
         code = (W("ab"), W("ab"), W("a'b"))
-        for _ in _both_walks(monkeypatch):
+        for group in _both_walks(stab):
             for call in (
-                lambda: canonical_form(code, stab),
-                lambda: dedup_orbits([code], stab),
-                lambda: stab.orbit(code),
+                lambda: canonical_form(code, group),
+                lambda: dedup_orbits([code], group),
+                lambda: group.orbit(code),
             ):
                 with pytest.raises(ValueError, match="repeated word"):
                     call()
@@ -631,9 +646,8 @@ class TestPackedImages:
         group = Group(Alphabet(pairs), dim, _anchor(pairs, dim) if fixing else None)
         rng = Random(pairs * 10 + dim)
         elements = group.generators + [_random_element(group, rng) for _ in range(12)]
-        for classes in range(1, group._every + 1):
-            if classes & group._every == classes:
-                self._check(group._packing(classes), elements)
+        for classes in _class_letters(group):
+            self._check(group._walk(classes)[0], elements)
 
     @pytest.mark.parametrize("pairs, dim", [(2, 4), (3, 3)])
     def test_agrees_with_apply_word_over_the_pool_letters(self, pairs, dim):
@@ -649,24 +663,23 @@ class TestPackedImages:
 
 class TestNarrowedPackings:
     @pytest.mark.parametrize("pairs,dim,fixing", NARROWED)
-    def test_walks_match_brute_force(self, pairs, dim, fixing, monkeypatch):
+    def test_walks_match_brute_force(self, pairs, dim, fixing):
         """Canonical forms, orbits and dedup against every element applied
-        to every code, and the element walk packs each family over exactly
-        the letter classes its words touch."""
+        to every code, and each walk packs each family over exactly the
+        letter classes its words touch."""
         anchor = _anchor(pairs, dim) if fixing else None
-        families = _families(Group(Alphabet(pairs), dim, anchor), Random(pairs * 10 + dim))
+        base = Group(Alphabet(pairs), dim, anchor)
+        families = _families(base, Random(pairs * 10 + dim))
         for name, family in families.items():
-            for _ in _both_walks(monkeypatch):
-                group = Group(Alphabet(pairs), dim, anchor)
-                assert dedup_orbits(family, group) == _brute_representatives(group, family), name
-                if group._walks_elements():
-                    touched = _touched(group, family)
-                    assert [touched] == list(group._packings), name
-                    assert group._packings[touched].digits == [
-                        tuple(at) for at in _class_letters(group)[touched]
-                    ]
+            for group in _both_walks(base):
+                assert dedup_orbits(family, group) == _brute_representatives(base, family), name
+                touched = _touched(group, family)
+                assert [touched] == list(group._walks), name
+                assert group._walks[touched][0].digits == [
+                    tuple(at) for at in _class_letters(group)[touched]
+                ]
                 for code in family:
-                    orbit = _brute_orbit(group, code)
+                    orbit = _brute_orbit(base, code)
                     assert group.orbit(code) == orbit, name
                     assert canonical_form(code, group) == min(orbit), name
 
@@ -682,7 +695,7 @@ class TestNarrowedPackings:
         for anchor, codes in ((V5, family), (apply_word(g, V5), relabelled)):
             group = word_stabilizer(anchor, Alphabet(2))
             assert len(dedup_orbits(codes, group)) == 51
-            assert [packing.top for packing in group._packings.values()] == [242]
+            assert [packing.top for packing, _ in group._walks.values()] == [242]
 
     def test_each_step_is_built_once_per_letter_set(self, monkeypatch):
         built = []
@@ -694,7 +707,7 @@ class TestNarrowedPackings:
 
         monkeypatch.setattr(Group, "_bit_step", counted)
         group = word_stabilizer(V5, Alphabet(2))
-        distinct = len(group._walk_plan()[0])
+        distinct = len(group._plan[0])
         family = _cover_family(7)
         for _ in range(2):
             dedup_orbits(family, group)
@@ -706,7 +719,7 @@ class TestNarrowedPackings:
         canonical_form(((0,) * 5,), group)  # the free letters alone
         assert built == [242] * distinct + [0] * distinct + [1023] * distinct + [31] * distinct
 
-    def test_refusals_keep_their_messages_and_order(self, monkeypatch):
+    def test_refusals_keep_their_messages_and_order(self):
         """A dimension mismatch and a letter outside the alphabet, each in
         the middle of a family, are refused as before, by the first code
         that holds one; within a code, the dimension comes first."""
@@ -722,12 +735,12 @@ class TestNarrowedPackings:
             ([good, short, foreign], dimension),
             ([good, foreign + (W("a"),)], dimension),
         ]
-        for _ in _both_walks(monkeypatch):
+        for group in _both_walks(stab):
             for family, message in cases:
                 with pytest.raises(ValueError, match=message):
-                    dedup_orbits(family, stab)
+                    dedup_orbits(family, group)
                 code = next(c for c in family if c is not good)
                 with pytest.raises(ValueError, match=message):
-                    canonical_form(code, stab)
+                    canonical_form(code, group)
                 with pytest.raises(ValueError, match=message):
-                    stab.orbit(code)
+                    group.orbit(code)

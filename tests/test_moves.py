@@ -447,8 +447,9 @@ class TestLockedCover:
         # of the code, so it keeps every word there meeting the word
         assert is_locked_cover((4,), ((0,), (1,)), Alphabet(1)) == Verdict.NO
         square = ((0, 0), (0, 1), (1, 0), (1, 1))  # no flip under one pair
-        assert is_locked_cover((0, 4), square, Alphabet(1), threshold=2) == Verdict.YES
-        assert is_locked_cover((0, 4), square, Alphabet(1), threshold=3) == Verdict.NO
+        for word in (0, 4), (0, -2):  # pairs above and below the alphabet's
+            assert is_locked_cover(word, square, Alphabet(1), threshold=2) == Verdict.YES
+            assert is_locked_cover(word, square, Alphabet(1), threshold=3) == Verdict.NO
 
     def test_thresholds_below_two_are_refused(self):
         # a covered word meets a word of every state: nothing falls below 1
